@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import AxiomReport, back_k, star_k
+from .core import AxiomReport, back_k, sample_tuples, star_k
 from .errors import CarrierConstructionError, UnsupportedCarrierError
 from .limits import _limit, emergent_sum
 
@@ -80,8 +80,7 @@ def check_derivative_morphism(m, x, cfg=None, samples=100, tol=1e-7, seed=0,
     Residual of Tf(x, u +_inf^x v) against Tf(x, u) +_inf^f(x) Tf(x, v).
     """
     _require_uniform_pair(m)
-    pts = m.source.sample(seed, 2 * samples, radius)
-    u, v = pts[:samples], pts[samples:]
+    u, v = sample_tuples(m.source, seed, samples, radius, 2)
     fx = m.fn(x)
     s_uv = emergent_sum(m.source, x, u, v, cfg)[0]
     lhs = derivative(m, x, s_uv, cfg)[0]

@@ -5,13 +5,10 @@ from __future__ import annotations
 from ..errors import CarrierConstructionError
 from .carnot import (GradedLieAlgebra, engel_algebra, heisenberg_algebra,
                      homogeneous_norm, layer_max_norm, load_algebra,
-                     make_carnot, make_engel)
+                     make_carnot, make_engel, make_heisenberg)
 from .dihedral import make_dihedral_quandle
 from .euclidean import make_euclidean
-from .group import (GroupOps, group_back_k, group_difference_k,
-                    group_inverse_k, group_star_k, group_sum_k,
-                    make_group_irq, make_perturbed_plane)
-from .heisenberg import make_heisenberg
+from .group import GroupOps, make_group_irq, make_perturbed_plane
 from .hyperbolic import (exp_map, geodesic_distance, log_map, make_hyperbolic,
                          reflect)
 
@@ -20,8 +17,7 @@ __all__ = [
     "build_carrier", "carrier_registry",
     "engel_algebra", "heisenberg_algebra", "load_algebra",
     "exp_map", "geodesic_distance", "log_map", "reflect",
-    "group_back_k", "group_difference_k", "group_inverse_k", "group_star_k",
-    "group_sum_k", "homogeneous_norm", "layer_max_norm",
+    "homogeneous_norm", "layer_max_norm",
     "make_carnot", "make_dihedral_quandle", "make_engel", "make_euclidean",
     "make_group_irq", "make_heisenberg", "make_hyperbolic",
     "make_perturbed_plane",

@@ -43,6 +43,7 @@ __all__ = [
     "layer_max_norm",
     "make_carnot",
     "make_engel",
+    "make_heisenberg",
 ]
 
 MAX_STEP = 4
@@ -116,8 +117,11 @@ class GradedLieAlgebra:
         return np.repeat(np.arange(1, self.step + 1), self.layer_dims)
 
     def bracket(self, x, y):
-        return np.einsum("...i,...j,ijk->...k", np.asarray(x, dtype=float),
-                         np.asarray(y, dtype=float), self.structure)
+        """[x, y]_k = sum_ij x_i y_j structure[i, j, k], over leading axes."""
+        xy = (np.asarray(x, dtype=float)[..., :, None]
+              * np.asarray(y, dtype=float)[..., None, :])
+        flat = self.structure.reshape(-1, self.structure.shape[-1])
+        return xy.reshape(xy.shape[:-2] + flat.shape[:1]) @ flat
 
     @staticmethod
     def from_brackets(layer_dims, entries):
@@ -306,6 +310,14 @@ def make_carnot(algebra, epsilon, name=None):
                           epsilon=epsilon, is_morphism=True,
                           delta_power=delta_power, layer_dims=dims,
                           point_reflection=point_reflection)
+
+
+def make_heisenberg(epsilon, name="heisenberg"):
+    """The 3-dimensional Heisenberg carrier: the step-2 Carnot group of
+    :func:`heisenberg_algebra`, whose BCH product is the law
+    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + (a b' - a' b) / 2).
+    """
+    return make_carnot(heisenberg_algebra(), epsilon, name=name)
 
 
 def make_engel(epsilon, name="engel"):

@@ -6,9 +6,10 @@ operations
     x * u = x delta(x^-1 u)          x \ u = x delta^-1(x^-1 u)
 
 form an irq.  When delta is contractive the carrier is uniform; when delta
-is additionally a group morphism, all level-k operations have closed forms
-(see :func:`group_difference_k` and friends) that the numerical limits must
-reproduce, which makes these carriers the main oracle family.
+is additionally a group morphism, the emergent operations have closed forms
+in the group (sum u x^-1 v, difference x u^-1 v, inverse x u^-1 x) that the
+numerical limits must reproduce, which makes these carriers the main oracle
+family.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ __all__ = [
     "GroupOps",
     "make_group_irq",
     "make_perturbed_plane",
-    "group_star_k",
-    "group_back_k",
-    "group_difference_k",
-    "group_sum_k",
-    "group_inverse_k",
 ]
 
 
@@ -147,47 +143,6 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
                reflection_isometry=reflection_isometry,
                level_difference=level_difference, level_sum=level_sum,
                level_inverse=level_inverse)
-
-
-def _check_morphism_group(irq):
-    ops = irq.group
-    if ops is None or not ops.is_morphism:
-        raise UnsupportedCarrierError(
-            "closed forms need a group carrier with morphism delta")
-    return ops
-
-
-def group_star_k(irq, k, x, u):
-    """Closed form x *_k u = x delta^k(x^-1 u) on morphism-delta carriers."""
-    g = _check_morphism_group(irq)
-    return g.mul(x, g.power(k, _conjugate(g, x, u)))
-
-
-def group_back_k(irq, k, x, u):
-    """Closed form x \\_k u = x delta^-k(x^-1 u) on morphism-delta carriers."""
-    g = _check_morphism_group(irq)
-    return g.mul(x, g.power(-k, _conjugate(g, x, u)))
-
-
-def group_difference_k(irq, k, x, u, v):
-    """Closed form difference_k(x, u, v) = x delta^k(x^-1 u) u^-1 v."""
-    g = _check_morphism_group(irq)
-    return g.mul(g.mul(x, g.power(k, _conjugate(g, x, u))),
-                 _conjugate(g, u, v))
-
-
-def group_sum_k(irq, k, x, u, v):
-    """Closed form sum_k(x, u, v) = u delta^k(u^-1 x) x^-1 v."""
-    g = _check_morphism_group(irq)
-    return g.mul(g.mul(u, g.power(k, _conjugate(g, u, x))),
-                 _conjugate(g, x, v))
-
-
-def group_inverse_k(irq, k, x, u):
-    """Closed form inverse_k(x, u) = x delta^k(x^-1 u) u^-1 x."""
-    g = _check_morphism_group(irq)
-    return g.mul(g.mul(x, g.power(k, _conjugate(g, x, u))),
-                 _conjugate(g, u, x))
 
 
 def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):

@@ -35,11 +35,11 @@ import numpy as np
 
 from .calculus import MapBetweenCarriers, check_derivative_morphism, derivative
 from .carriers import build_carrier, carrier_registry
-from .core import check_irq_axioms, star_k
+from .core import check_irq_axioms, sample_tuples, star_k
 from .division import (DivisionMethod, check_involution, check_loos_axioms,
                        default_division_method, loop_isotope_k,
                        right_divide_k)
-from .errors import (DistributivityError, EmergentAlgebraError,
+from .errors import (ConfigError, DistributivityError, EmergentAlgebraError,
                      InvalidPointError, NonConvergenceError,
                      UnsupportedCarrierError)
 from .limits import (LimitConfig, emergent_difference, emergent_inverse,
@@ -62,10 +62,6 @@ EXPERIMENTS = {
     "derivative": (100, 1e-7, "derivatives Tf and their tangent-group morphism check"),
     "divide": (100, 1e-10, "right division 6.3, loop isotopes and their limit"),
 }
-
-
-class ConfigError(Exception):
-    """Invalid configuration; surfaces as a diagnostic and exit status 2."""
 
 
 def _coerce(name, value, kind):
@@ -148,11 +144,6 @@ def _need_uniform(irq, experiment):
             f"{irq.name!r} is not")
 
 
-def _sample_triple(irq, seed, samples, radius):
-    pts = irq.sample(seed, 3 * samples, radius)
-    return pts[:samples], pts[samples:2 * samples], pts[2 * samples:]
-
-
 def _exp_axioms(irq, cfg):
     reports = check_irq_axioms(irq, seed=cfg["seed"], count=cfg["samples"],
                                radius=cfg["radius"], tol=cfg["tol"])
@@ -169,7 +160,7 @@ def _limit_config(cfg, consumer_tol, margin=100.0):
 
 def _exp_converge(irq, cfg):
     _need_uniform(irq, "converge")
-    x, u, v = _sample_triple(irq, cfg["seed"], cfg["samples"], cfg["radius"])
+    x, u, v = sample_tuples(irq, cfg["seed"], cfg["samples"], cfg["radius"], 3)
     lcfg = _limit_config(cfg, cfg["tol"])
     g = irq.group if (irq.group is not None and irq.group.is_morphism) else None
     ops = [
@@ -214,7 +205,7 @@ def _exp_reconstruct(irq, cfg):
     except DistributivityError as err:
         return _report_rows("reconstruct", irq.name, [err.report])
     rows = _report_rows("reconstruct", irq.name, [rec.distributivity])
-    x, y, z = _sample_triple(irq, cfg["seed"], cfg["samples"], cfg["radius"])
+    x, y, z = sample_tuples(irq, cfg["seed"], cfg["samples"], cfg["radius"], 3)
     tol, n = cfg["tol"], cfg["samples"]
 
     checks = [("6.1iii", rec.star(x, y), irq.star(x, y)),

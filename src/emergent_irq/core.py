@@ -55,6 +55,7 @@ __all__ = [
     "inverse_k",
     "check_irq_axioms",
     "identity_names",
+    "sample_tuples",
 ]
 
 # Iteration levels are plain nonzero ints; the cap keeps runaway loops out.
@@ -267,15 +268,18 @@ def _max_residual(irq, pairs):
     return worst
 
 
-def _sample_tuples(irq, seed, count, radius, arity):
+def sample_tuples(irq, seed, count, radius, arity):
+    """Point batches for a check: ``arity`` arrays with one tuple per row.
+
+    A small exact carrier (``size ** arity <= 20000``) yields every tuple of
+    labels; any other carrier splits one ``irq.sample(seed, arity * count,
+    radius)`` draw into ``arity`` batches of ``count`` points.
+    """
+    if irq.is_exact and irq.size is not None and irq.size ** arity <= 20000:
+        grids = np.meshgrid(*([np.arange(irq.size)] * arity), indexing="ij")
+        return [g.reshape(-1) for g in grids]
     pts = irq.sample(seed, arity * count, radius)
     return [pts[i * count:(i + 1) * count] for i in range(arity)]
-
-
-def _exhaustive_tuples(irq, arity):
-    labels = np.arange(irq.size)
-    grids = np.meshgrid(*([labels] * arity), indexing="ij")
-    return [g.reshape(-1) for g in grids]
 
 
 def check_irq_axioms(irq, seed=0, count=250, radius=2.0, tol=1e-9,
@@ -293,15 +297,9 @@ def check_irq_axioms(irq, seed=0, count=250, radius=2.0, tol=1e-9,
     for k in levels:
         _require_level(k)
     eff_tol = 0.0 if irq.is_exact else float(tol)
-
-    def tuples(arity):
-        if irq.is_exact and irq.size is not None and irq.size ** arity <= 20000:
-            return _exhaustive_tuples(irq, arity)
-        return _sample_tuples(irq, seed, count, radius, arity)
-
     reports = []
     for name, arity, fn in _IDENTITIES:
-        pts = tuples(arity)
+        pts = sample_tuples(irq, seed, count, radius, arity)
         n = int(np.shape(pts[0])[0])
         worst = 0.0
         for k in levels:
@@ -312,8 +310,7 @@ def check_irq_axioms(irq, seed=0, count=250, radius=2.0, tol=1e-9,
     # basepoint compose additively, star_p(x, star_q(x, u)) = star_{p+q}(x, u),
     # so the compound level is p + q; pairs with p + q = 0 would need the
     # trivial level-0 operation and are skipped.
-    pts = tuples(3)
-    x, u, v = pts[0], pts[1], pts[2]
+    x, u, v = sample_tuples(irq, seed, count, radius, 3)
     n = int(np.shape(x)[0])
     worst = 0.0
     for p, q in itertools.product(levels, levels):

@@ -16,11 +16,11 @@ Every method ends with the residual check d(star_k(y, a), b) <= tol.
 
 From division, the loop isotope u o_k^x v = (u /_k x) *_k (x \_k v), a loop
 with identity x that converges to the tangent-group sum, and the
-symmetric-space operations
+symmetric-space operations, built on the level-k inversion
+inverse_k(x, y) = (x *_k y) \_k x of :mod:`emergent_irq.core`,
 
-    inv_k(x, y) = (x *_k y) \_k x
-    underline_inv_k(u, v) = inv_k(u, v /_k u)
-    t_map(y, x) = (inv_1(x, y), x * y)      (an involution of X x X)
+    underline_inv_k(u, v) = inverse_k(u, v /_k u)
+    t_map(y, x) = (inverse_1(x, y), x * y)      (an involution of X x X)
 
 with the Loos axiom checks L1-L4 for the limit inversion.
 """
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carriers.carnot import homogeneous_norm
-from .core import AxiomReport, back_k, inverse_k, star_k
+from .core import AxiomReport, back_k, inverse_k, sample_tuples, star_k
 from .errors import NonConvergenceError, UnsupportedCarrierError
 from .limits import LimitConfig, emergent_inverse
 
@@ -41,7 +41,6 @@ __all__ = [
     "default_division_method",
     "right_divide_k",
     "loop_isotope_k",
-    "inv_k",
     "underline_inv_k",
     "t_map",
     "check_involution",
@@ -161,32 +160,18 @@ def loop_isotope_k(irq, k, x, u, v, method=None):
                   back_k(irq, k, x, v))
 
 
-def inv_k(irq, k, x, y):
-    """Level-k inversion of y through x: (x *_k y) \\_k x."""
-    return inverse_k(irq, k, x, y)
-
-
 def underline_inv_k(irq, k, u, v, method=None):
-    """Division-corrected inversion inv_k(u, v /_k u).
+    """Division-corrected inversion inverse_k(u, v /_k u).
 
     On symmetric carriers this is independent of k and equals the geodesic
     point reflection of v through u.
     """
-    return inv_k(irq, k, u, right_divide_k(irq, k, v, u, method))
+    return inverse_k(irq, k, u, right_divide_k(irq, k, v, u, method))
 
 
 def t_map(irq, y, x):
     """The pair map T(y, x) = (inv(x, y), x * y) at level one."""
-    return inv_k(irq, 1, x, y), irq.star(x, y)
-
-
-def _pair_samples(irq, samples, seed, radius, arity=2):
-    if irq.is_exact and irq.size is not None and irq.size ** arity <= 20000:
-        labels = np.arange(irq.size)
-        grid = np.meshgrid(*([labels] * arity), indexing="ij")
-        return [g.reshape(-1) for g in grid]
-    pts = irq.sample(seed, arity * samples, radius)
-    return [pts[i * samples:(i + 1) * samples] for i in range(arity)]
+    return inverse_k(irq, 1, x, y), irq.star(x, y)
 
 
 def check_involution(irq, samples=200, tol=1e-12, seed=0, radius=2.0):
@@ -194,7 +179,7 @@ def check_involution(irq, samples=200, tol=1e-12, seed=0, radius=2.0):
 
     Exact carriers are enumerated over all pairs and held to zero residual.
     """
-    y, x = _pair_samples(irq, samples, seed, radius)
+    y, x = sample_tuples(irq, seed, samples, radius, 2)
     y1, x1 = t_map(irq, y, x)
     y2, x2 = t_map(irq, y1, x1)
     worst = max(float(np.max(irq.metric(y2, y))), float(np.max(irq.metric(x2, x))))
@@ -219,7 +204,7 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
     * ``L2-underline``: L2 with underline_inv_k at each level in ``levels``;
     * ``6.6``: underline_inv_k(u, v) = inv_inf(u, v) at each level, the
       k-independence making the carrier a uniform symmetric quasigroup;
-    * ``6.8``: the equivalent k-indexed form inv_k(u, v) =
+    * ``6.8``: the equivalent k-indexed form inverse_k(u, v) =
       inv_inf(u, v *_k u);
     * ``6.8-oracle`` (when the carrier has a closed-form
       ``point_reflection``): the limit inversion matches it;
@@ -233,7 +218,7 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
     # tolerance; demanding much more can push carriers with a shallow
     # numerical floor into a spurious non-convergence.
     cfg = cfg or LimitConfig(tol=max(float(tol) / 4.0, 1e-11))
-    x, y, z = _pair_samples(irq, samples, seed, radius, arity=3)
+    x, y, z = sample_tuples(irq, seed, samples, radius, 3)
     n = int(np.shape(x)[0])
 
     def inv(a, b):
@@ -282,7 +267,7 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
         worst_l2u = max(worst_l2u, float(np.max(irq.metric(lhs, rhs))))
         worst_66 = max(worst_66, float(np.max(irq.metric(und(x, y), i_xy))))
         worst_68 = max(worst_68, float(np.max(irq.metric(
-            inv_k(irq, k, x, y), inv(x, star_k(irq, k, y, x))))))
+            inverse_k(irq, k, x, y), inv(x, star_k(irq, k, y, x))))))
     reports.append(AxiomReport.from_residual("L2-underline", n, worst_l2u, tol))
     reports.append(AxiomReport.from_residual("6.6", n, worst_66, tol))
     reports.append(AxiomReport.from_residual("6.8", n, worst_68, tol))

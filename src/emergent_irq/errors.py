@@ -41,3 +41,11 @@ class DistributivityError(EmergentAlgebraError, ValueError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+class ConfigError(Exception):
+    """Invalid CLI configuration; surfaces as a diagnostic and exit status 2.
+
+    Deliberately not an :class:`EmergentAlgebraError`: the CLI turns library
+    errors into ``ConfigError`` and must not wrap its own errors again.
+    """

@@ -25,7 +25,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import AxiomReport, difference_k, inverse_k, star_k, sum_k
+from .core import (AxiomReport, difference_k, inverse_k, sample_tuples,
+                   star_k, sum_k)
 from .errors import (DistributivityError, NonConvergenceError,
                      UnsupportedCarrierError)
 
@@ -196,8 +197,7 @@ def verify_tangent_group(irq, x, cfg=None, samples=100, tol=1e-7, seed=0,
     :returns: one :class:`AxiomReport` per law.
     """
     _require_uniform(irq, "verify_tangent_group")
-    pts = irq.sample(seed, 3 * samples, radius)
-    u, v, w = pts[:samples], pts[samples:2 * samples], pts[2 * samples:]
+    u, v, w = sample_tuples(irq, seed, samples, radius, 3)
     xs = np.broadcast_to(np.asarray(x), np.shape(u)).copy()
 
     def dif(a, b, c):
@@ -243,26 +243,20 @@ def check_distributive(irq, samples=200, tol=1e-6, seed=0, radius=2.0):
     propagate to every level, so this is the full distributivity condition
     separating group-like carriers from merely uniform ones.
 
+    Exact carriers are enumerated when small and held to zero residual.
+
     :returns: a single :class:`AxiomReport` labeled 6.1.
     """
-    if irq.is_exact and irq.size is not None and irq.size ** 3 <= 20000:
-        labels = np.arange(irq.size)
-        grid = np.meshgrid(labels, labels, labels, indexing="ij")
-        x, u, v = (g.reshape(-1) for g in grid)
-        n = irq.size ** 3
-        eff_tol = 0.0
-    else:
-        pts = irq.sample(seed, 3 * samples, radius)
-        x, u, v = pts[:samples], pts[samples:2 * samples], pts[2 * samples:]
-        n = samples
-        eff_tol = float(tol)
+    x, u, v = sample_tuples(irq, seed, samples, radius, 3)
+    eff_tol = 0.0 if irq.is_exact else float(tol)
     worst = 0.0
     for outer in (irq.star, irq.back):
         for inner in (irq.star, irq.back):
             lhs = outer(x, inner(u, v))
             rhs = inner(outer(x, u), outer(x, v))
             worst = max(worst, float(np.max(irq.metric(lhs, rhs))))
-    return AxiomReport.from_residual("6.1", n, worst, eff_tol)
+    return AxiomReport.from_residual("6.1", int(np.shape(x)[0]), worst,
+                                     eff_tol)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
 from emergent_irq.carriers import (GradedLieAlgebra, GroupOps, build_carrier,
@@ -15,10 +17,10 @@ from emergent_irq.carriers import (GradedLieAlgebra, GroupOps, build_carrier,
                                    make_hyperbolic, make_perturbed_plane,
                                    reflect)
 from emergent_irq.carriers.carnot import bch_product, dilation
-from emergent_irq.carriers.heisenberg import heisenberg_inv, heisenberg_mul
 from emergent_irq.core import star_k
 from emergent_irq.errors import (CarrierConstructionError, InvalidPointError,
                                  UnsupportedCarrierError)
+from heisenberg_law import heis_dilate, heis_inv, heis_mul
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +129,10 @@ def test_dihedral_flags_and_errors():
 
 def test_heisenberg_mul_frozen_value():
     # (1,2,3)(4,5,6): c = 3 + 6 + (1*5 - 4*2)/2 = 9 - 3/2.
-    assert np.allclose(heisenberg_mul([1, 2, 3], [4, 5, 6]), [5.0, 7.0, 7.5])
-    assert np.allclose(heisenberg_inv([1.0, -2.0, 0.5]), [-1.0, 2.0, -0.5])
+    ops = make_heisenberg(0.5).group
+    for mul, inv in ((heis_mul, heis_inv), (ops.mul, ops.inv)):
+        assert np.allclose(mul([1, 2, 3], [4, 5, 6]), [5.0, 7.0, 7.5])
+        assert np.allclose(inv([1.0, -2.0, 0.5]), [-1.0, 2.0, -0.5])
 
 
 def _heis_mat(p):
@@ -139,15 +143,16 @@ def _heis_mat(p):
 
 def test_heisenberg_mul_matches_matrix_exponential():
     # Oracle: the 3x3 unipotent representation, multiplied with expm and
-    # read back with logm.
+    # read back with logm, checks both the written-out law and the carrier.
+    mul = make_heisenberg(0.5).group.mul
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(25):
         p, q = rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.5, 1.5, 3)
         L = np.real(logm(expm(_heis_mat(p)) @ expm(_heis_mat(q))))
         via_matrices = np.array([L[0, 1], L[1, 2], L[0, 2]])
-        worst = max(worst, float(np.max(np.abs(via_matrices
-                                               - heisenberg_mul(p, q)))))
+        worst = max(worst, float(np.max(np.abs(via_matrices - heis_mul(p, q)))),
+                    float(np.max(np.abs(via_matrices - mul(p, q)))))
     assert worst <= 1e-12
 
 
@@ -158,8 +163,8 @@ def test_heisenberg_dilation_is_morphism():
     rng = np.random.default_rng(3)
     p = rng.uniform(-2, 2, size=(40, 3))
     q = rng.uniform(-2, 2, size=(40, 3))
-    lhs = ops.power(1, heisenberg_mul(p, q))
-    rhs = heisenberg_mul(ops.power(1, p), ops.power(1, q))
+    lhs = ops.power(1, heis_mul(p, q))
+    rhs = heis_mul(ops.power(1, p), ops.power(1, q))
     assert float(np.max(np.abs(lhs - rhs))) <= 1e-14
 
 
@@ -208,16 +213,72 @@ def test_engel_bch_matches_matrix_exponential():
 
 
 def test_carnot_heisenberg_matches_hand_coded():
-    hand = make_heisenberg(0.5)
-    built = make_carnot(heisenberg_algebra(), 0.5)
-    assert built.name == "carnot-step2"
-    assert built.layer_dims == (2, 1)
-    pts = hand.sample(3, 40, 2.0)
+    heis = make_heisenberg(0.5)
+    assert heis.name == "heisenberg" and heis.layer_dims == (2, 1)
+    assert make_carnot(heisenberg_algebra(), 0.5).name == "carnot-step2"
+    pts = heis.sample(3, 40, 2.0)
     x, u = pts[:20], pts[20:]
-    assert float(np.max(hand.metric(hand.star(x, u), built.star(x, u)))) == 0.0
-    assert float(np.max(hand.metric(hand.back(x, u), built.back(x, u)))) == 0.0
-    # The metrics compute the same layer-max norm, up to hypot rounding.
-    assert float(np.max(np.abs(hand.metric(x, u) - built.metric(x, u)))) <= 1e-15
+    # x * u = x delta(x^-1 u) with the law written out: the BCH product of
+    # heisenberg_algebra() rounds exactly like it.
+    for level, op in ((1, heis.star), (-1, heis.back)):
+        want = heis_mul(x, heis_dilate(0.5, level, heis_mul(heis_inv(x), u)))
+        assert np.array_equal(op(x, u), want)
+    # The metric is the layer-max norm of x^-1 u, up to hypot rounding.
+    g = heis_mul(heis_inv(x), u)
+    want = np.maximum(np.hypot(g[:, 0], g[:, 1]), np.abs(g[:, 2]))
+    assert float(np.max(np.abs(heis.metric(x, u) - want))) <= 1e-15
+
+
+def _filiform4_algebra():
+    return GradedLieAlgebra.from_brackets(
+        (2, 1, 1, 1), [(0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (0, 3, {4: 1.0})])
+
+
+def _bracket_by_definition(alg, x, y):
+    # [x, y]_k = sum_ij x_i y_j C[i, j, k], summed over the nonzero C only.
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    out = np.zeros(x.shape)
+    for i, j, k in zip(*np.nonzero(alg.structure)):
+        out[..., k] += x[..., i] * y[..., j] * alg.structure[i, j, k]
+    return out
+
+
+@pytest.mark.parametrize("alg", [heisenberg_algebra(), engel_algebra(),
+                                 _filiform4_algebra()],
+                         ids=["heisenberg", "engel", "filiform4"])
+def test_bracket_matches_structure_constants(alg):
+    rng = np.random.default_rng(6)
+    n, b = alg.dim, 7
+    one, batch, other = (rng.uniform(-2, 2, n), rng.uniform(-2, 2, (b, n)),
+                         rng.uniform(-2, 2, (b, n)))
+    for x, y, shape in ((one, batch, (b, n)), (batch, one, (b, n)),
+                        (batch, other, (b, n)), (one, one, (n,))):
+        got = alg.bracket(x, y)
+        assert got.shape == shape
+        # Each coordinate of these brackets sums two nonzero terms, so the
+        # summation order cannot change the rounding.
+        assert np.array_equal(got, _bracket_by_definition(alg, x, y))
+
+
+@settings(deadline=None, max_examples=40)
+@given(eps=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1),
+       m=st.integers(1, 8))
+def test_heisenberg_carrier_matches_written_out_law(eps, seed, m):
+    # Relative, not exact: eps ** (degrees * m) and the reciprocal-based
+    # inverse dilation may round differently from eps**m, eps**(2m).
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * float(np.max(np.abs(want))))
+
+    heis = make_heisenberg(eps)
+    rng = np.random.default_rng(seed)
+    x, u = rng.uniform(-2, 2, (2, 16, 3))
+    for level, op in ((1, heis.star), (-1, heis.back)):
+        close(op(x, u),
+              heis_mul(x, heis_dilate(eps, level, heis_mul(heis_inv(x), u))))
+    for power in (m, -m):
+        close(heis.group.power(power, u), heis_dilate(eps, power, u))
 
 
 def test_engel_carrier_flags():

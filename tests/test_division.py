@@ -10,7 +10,7 @@ from emergent_irq.carriers import (GroupOps, make_dihedral_quandle,
 from emergent_irq.core import inverse_k, star_k
 from emergent_irq.division import (DivisionMethod, check_involution,
                                    check_loos_axioms,
-                                   default_division_method, inv_k,
+                                   default_division_method,
                                    loop_isotope_k, right_divide_k, t_map,
                                    underline_inv_k)
 from emergent_irq.errors import NonConvergenceError, UnsupportedCarrierError
