@@ -86,5 +86,5 @@ def check_derivative_morphism(m, x, cfg=None, samples=100, tol=1e-7, seed=0,
     lhs = derivative(m, x, s_uv, cfg)[0]
     rhs = emergent_sum(m.target, fx, derivative(m, x, u, cfg)[0],
                        derivative(m, x, v, cfg)[0], cfg)[0]
-    worst = float(np.max(m.target.metric(lhs, rhs)))
-    return AxiomReport.from_residual("Tf-morphism", samples, worst, tol)
+    return AxiomReport.judge(m.target, "Tf-morphism", samples, [(lhs, rhs)],
+                             tol)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -239,15 +240,19 @@ def dilation(algebra, eps):
     return apply
 
 
+@lru_cache(maxsize=64)
 def _layer_slices(layer_dims):
+    # Metrics call this on every evaluation; the layout is a small tuple.
     stops = np.cumsum(layer_dims)
-    return [slice(int(a), int(b)) for a, b in zip(np.concatenate([[0], stops]), stops)]
+    return tuple(slice(int(a), int(b))
+                 for a, b in zip(np.concatenate([[0], stops]), stops))
 
 
 def layer_max_norm(layer_dims, g):
     """max_i ||layer_i(g)||_2, the residual norm used by carrier metrics."""
     g = np.asarray(g, dtype=float)
-    parts = [np.linalg.norm(g[..., sl], axis=-1) for sl in _layer_slices(layer_dims)]
+    parts = [np.linalg.norm(g[..., sl], axis=-1)
+             for sl in _layer_slices(tuple(layer_dims))]
     return np.max(np.stack(parts, axis=-1), axis=-1)
 
 

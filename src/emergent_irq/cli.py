@@ -17,8 +17,10 @@ own parameters at top level, e.g.
 Flags override the file.  EMERGENT_IRQ_SEED supplies the seed when neither
 does.  Every row is {experiment, carrier, identity, k, samples,
 max_residual, rate, passed}; the exit status is 0 only if all rows pass,
-2 for configuration errors.  Reports are byte-identical across reruns of
-the same config and seed.
+2 for configuration errors.  The identities reported depend only on the
+experiment and the carrier: a computation whose limit does not settle, or
+whose iterates leave the carrier, fails each row it would have reported.
+Reports are byte-identical across reruns of the same config and seed.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .calculus import MapBetweenCarriers, check_derivative_morphism, derivative
 from .carriers import build_carrier, carrier_registry
-from .core import check_irq_axioms, sample_tuples, star_k
+from .core import (AxiomReport, check_irq_axioms, identity_names,
+                   sample_tuples, star_k)
 from .division import (DivisionMethod, check_involution, check_loos_axioms,
                        default_division_method, loop_isotope_k,
-                       right_divide_k)
+                       loos_identity_names, right_divide_k)
 from .errors import (ConfigError, DistributivityError, EmergentAlgebraError,
                      InvalidPointError, NonConvergenceError,
                      UnsupportedCarrierError)
@@ -124,17 +125,44 @@ def _resolve_config(file_cfg, args):
             "radius": radius, "out": out, "format": fmt, "params": cfg}
 
 
-def _row(experiment, carrier, identity, k, samples, residual, rate, passed):
-    return {"experiment": experiment, "carrier": carrier,
-            "identity": identity, "k": k, "samples": int(samples),
+def _row(identity, k, samples, residual, passed, rate=None):
+    return {"identity": identity, "k": k, "samples": int(samples),
             "max_residual": float(residual),
             "rate": None if rate is None or math.isnan(rate) else float(rate),
             "passed": bool(passed)}
 
 
-def _report_rows(experiment, carrier, reports, k=None):
-    return [_row(experiment, carrier, rep.identity, k, rep.samples,
-                 rep.max_residual, None, rep.passed) for rep in reports]
+def _report_rows(reports, k=None, rate=None):
+    return [_row(rep.identity, k, rep.samples, rep.max_residual, rep.passed,
+                 rate) for rep in reports]
+
+
+def _guard(cfg, names, k, compute, *args):
+    """Rows of ``compute(*args)``, or failing rows when it cannot finish.
+
+    A limit that does not settle (:class:`NonConvergenceError`) or iterates
+    that leave the carrier (:class:`InvalidPointError`) fail one row per
+    identity in ``names``, the identities ``compute`` reports on success,
+    at level ``k`` and the last step of the residual trail (inf without one).
+    """
+    try:
+        return compute(*args)
+    except (NonConvergenceError, InvalidPointError) as err:
+        trail = getattr(err, "trail", None) or [float("inf")]
+        return [_row(name, k, cfg["samples"], trail[-1], False)
+                for name in names]
+
+
+def _check(irq, cfg, name, pairs, tol=None, k=None):
+    """One guarded row judging the (lhs, rhs) pairs that ``pairs()`` lists."""
+    tol = cfg["tol"] if tol is None else tol
+    return _guard(cfg, [name], k, lambda: _report_rows(
+        [AxiomReport.judge(irq, name, cfg["samples"], pairs(), tol)], k))
+
+
+def _sampling(cfg):
+    return {"samples": cfg["samples"], "seed": cfg["seed"],
+            "radius": cfg["radius"]}
 
 
 def _need_uniform(irq, experiment):
@@ -145,9 +173,9 @@ def _need_uniform(irq, experiment):
 
 
 def _exp_axioms(irq, cfg):
-    reports = check_irq_axioms(irq, seed=cfg["seed"], count=cfg["samples"],
-                               radius=cfg["radius"], tol=cfg["tol"])
-    return _report_rows("axioms", irq.name, reports)
+    return _guard(cfg, identity_names(), None, lambda: _report_rows(
+        check_irq_axioms(irq, seed=cfg["seed"], count=cfg["samples"],
+                         radius=cfg["radius"], tol=cfg["tol"])))
 
 
 def _limit_config(cfg, consumer_tol, margin=100.0):
@@ -163,35 +191,29 @@ def _exp_converge(irq, cfg):
     x, u, v = sample_tuples(irq, cfg["seed"], cfg["samples"], cfg["radius"], 3)
     lcfg = _limit_config(cfg, cfg["tol"])
     g = irq.group if (irq.group is not None and irq.group.is_morphism) else None
-    ops = [
-        ("5.1-sum", lambda: emergent_sum(irq, x, u, v, lcfg),
-         (lambda: g.mul(g.mul(u, g.inv(x)), v)) if g else None, "4.6-sum"),
-        ("5.1-dif", lambda: emergent_difference(irq, x, u, v, lcfg),
-         (lambda: g.mul(g.mul(x, g.inv(u)), v)) if g else None, "4.6-dif"),
-        ("5.1-inv", lambda: emergent_inverse(irq, x, u, lcfg),
-         (lambda: g.mul(g.mul(x, g.inv(u)), x)) if g else None, "4.6-inv"),
-    ]
+    ops = {"sum": (lambda: emergent_sum(irq, x, u, v, lcfg),
+                   lambda: g.mul(g.mul(u, g.inv(x)), v)),
+           "dif": (lambda: emergent_difference(irq, x, u, v, lcfg),
+                   lambda: g.mul(g.mul(x, g.inv(u)), v)),
+           "inv": (lambda: emergent_inverse(irq, x, u, lcfg),
+                   lambda: g.mul(g.mul(x, g.inv(u)), x))}
+
+    def limit_rows(name, compute, oracle):
+        value, rep = compute()
+        rows = [_row(f"5.1-{name}", rep.stop_k, cfg["samples"],
+                     rep.residual_trail[-1], True, rep.estimated_rate)]
+        if g is not None:
+            rows += _report_rows([AxiomReport.judge(
+                irq, f"4.6-{name}", cfg["samples"], [(value, oracle())],
+                cfg["tol"])], rep.stop_k)
+        return rows
+
     rows = []
-    n = cfg["samples"]
-    for name, compute, oracle, oracle_name in ops:
-        try:
-            value, rep = compute()
-        except NonConvergenceError as err:
-            trail = err.trail or [float("inf")]
-            rows.append(_row("converge", irq.name, name, cfg["max_k"], n,
-                             trail[-1], None, False))
-            continue
-        except InvalidPointError:
-            # Deep iterates left the carrier's numerical domain.
-            rows.append(_row("converge", irq.name, name, cfg["max_k"], n,
-                             float("inf"), None, False))
-            continue
-        rows.append(_row("converge", irq.name, name, rep.stop_k, n,
-                         rep.residual_trail[-1], rep.estimated_rate, True))
-        if oracle is not None:
-            residual = float(np.max(irq.metric(value, oracle())))
-            rows.append(_row("converge", irq.name, oracle_name, rep.stop_k, n,
-                             residual, None, residual <= cfg["tol"]))
+    for name, (compute, oracle) in ops.items():
+        # The 4.6 row checks the 5.1 limit's value, so it fails with it.
+        names = [f"5.1-{name}"] + [f"4.6-{name}"] * (g is not None)
+        rows += _guard(cfg, names, cfg["max_k"], limit_rows, name, compute,
+                       oracle)
     return rows
 
 
@@ -199,50 +221,51 @@ def _exp_reconstruct(irq, cfg):
     _need_uniform(irq, "reconstruct")
     lcfg = _limit_config(cfg, cfg["tol"])
     try:
-        rec = reconstruct_group(irq, irq.base, lcfg, samples=cfg["samples"],
-                                tol=max(cfg["tol"], 1e-6), seed=cfg["seed"],
-                                radius=cfg["radius"])
+        rec = reconstruct_group(irq, irq.base, lcfg,
+                                tol=max(cfg["tol"], 1e-6), **_sampling(cfg))
     except DistributivityError as err:
-        return _report_rows("reconstruct", irq.name, [err.report])
-    rows = _report_rows("reconstruct", irq.name, [rec.distributivity])
+        return _report_rows([err.report])
     x, y, z = sample_tuples(irq, cfg["seed"], cfg["samples"], cfg["radius"], 3)
-    tol, n = cfg["tol"], cfg["samples"]
 
-    checks = [("6.1iii", rec.star(x, y), irq.star(x, y)),
-              ("6.2", emergent_sum(irq, x, y, z, lcfg)[0],
-               emergent_difference(irq, y, x, z, lcfg)[0])]
-    if irq.group is not None:
-        g = irq.group
-        checks.append(("6.1i", rec.product(x, y), g.mul(x, y)))
-        checks.append(("6.1ii", emergent_difference(irq, x, y, z, lcfg)[0],
-                       g.mul(g.mul(x, g.inv(y)), z)))
-    for name, lhs, rhs in checks:
-        residual = float(np.max(irq.metric(lhs, rhs)))
-        rows.append(_row("reconstruct", irq.name, name, None, n, residual,
-                         None, residual <= tol))
+    def dif(a, b, c):
+        return emergent_difference(irq, a, b, c, lcfg)[0]
+
+    checks = {"6.1iii": lambda: [(rec.star(x, y), irq.star(x, y))],
+              "6.2": lambda: [(emergent_sum(irq, x, y, z, lcfg)[0],
+                               dif(y, x, z))]}
+    g = irq.group
+    if g is not None:
+        checks["6.1i"] = lambda: [(rec.product(x, y), g.mul(x, y))]
+        checks["6.1ii"] = lambda: [(dif(x, y, z),
+                                    g.mul(g.mul(x, g.inv(y)), z))]
+    rows = _report_rows([rec.distributivity])
+    for name, pairs in checks.items():
+        rows += _check(irq, cfg, name, pairs)
     return rows
 
 
+def _loos_rows(irq, cfg):
+    def attempt(margin):
+        return check_loos_axioms(irq, _limit_config(cfg, cfg["tol"], margin),
+                                 tol=cfg["tol"], **_sampling(cfg))
+
+    try:
+        reports = attempt(4.0)
+    except NonConvergenceError:
+        # A quarter of the row tolerance can sit below the carrier's
+        # numerical floor on the compounded points these checks form;
+        # the row tolerance itself is the loosest accuracy the rows can
+        # absorb, so retry there before failing every Loos row.
+        reports = attempt(1.0)
+    return _report_rows(reports)
+
+
 def _exp_symmetric(irq, cfg):
-    rows = _report_rows("symmetric", irq.name, [check_involution(
-        irq, samples=cfg["samples"], tol=cfg["tol"], seed=cfg["seed"],
-        radius=cfg["radius"])])
+    rows = _report_rows([check_involution(irq, tol=cfg["tol"],
+                                          **_sampling(cfg))])
     if irq.is_uniform:
-        try:
-            reports = check_loos_axioms(
-                irq, _limit_config(cfg, cfg["tol"], 4.0),
-                samples=cfg["samples"], tol=cfg["tol"], seed=cfg["seed"],
-                radius=cfg["radius"])
-        except NonConvergenceError:
-            # A quarter of the row tolerance can sit below the carrier's
-            # numerical floor on the compounded points these checks form;
-            # the row tolerance itself is the loosest accuracy the rows can
-            # absorb, so retry there before giving up on per-axiom rows.
-            reports = check_loos_axioms(
-                irq, _limit_config(cfg, cfg["tol"], 1.0),
-                samples=cfg["samples"], tol=cfg["tol"], seed=cfg["seed"],
-                radius=cfg["radius"])
-        rows.extend(_report_rows("symmetric", irq.name, reports))
+        rows += _guard(cfg, loos_identity_names(irq), None, _loos_rows, irq,
+                       cfg)
     return rows
 
 
@@ -251,39 +274,32 @@ def _exp_derivative(irq, cfg):
     lcfg = _limit_config(cfg, cfg["tol"], 10.0)
     x = irq.base
     u = irq.sample(cfg["seed"], cfg["samples"], cfg["radius"])
-    n, tol = cfg["samples"], cfg["tol"]
-    rows = []
+    n, tol, g = cfg["samples"], cfg["tol"], irq.group
 
-    ident = MapBetweenCarriers(irq, irq, lambda p: p, name="id")
-    value, rep = derivative(ident, x, u, lcfg)
-    residual = float(np.max(irq.metric(value, u)))
-    rows.append(_row("derivative", irq.name, "Tf-id", rep.stop_k, n,
-                     residual, None, residual <= tol))
+    def tf_id(m):
+        value, rep = derivative(m, x, u, lcfg)
+        return _report_rows([AxiomReport.judge(irq, "Tf-id", n, [(value, u)],
+                                               tol)], rep.stop_k)
 
-    target = ident
-    if irq.group is not None and irq.group.delta is not None:
-        target = MapBetweenCarriers(irq, irq, irq.group.delta, name="delta")
-        try:
-            value, rep = derivative(target, x, u, lcfg)
-        except NonConvergenceError as err:
-            trail = err.trail or [float("inf")]
-            rows.append(_row("derivative", irq.name, "Tf-delta",
-                             cfg["max_k"], n, trail[-1], None, False))
-            target = ident
+    def tf_delta(m):
+        value, rep = derivative(m, x, u, lcfg)
+        tol_delta = max(tol, lcfg.tol * 10)
+        if g.is_morphism:
+            report = AxiomReport.judge(irq, "Tf-delta", n,
+                                       [(value, g.delta(u))], tol_delta)
         else:
-            if irq.group.is_morphism:
-                residual = float(np.max(irq.metric(value, irq.group.delta(u))))
-            else:
-                residual = rep.residual_trail[-1]
-            rows.append(_row("derivative", irq.name, "Tf-delta", rep.stop_k,
-                             n, residual, rep.estimated_rate,
-                             residual <= max(tol, lcfg.tol * 10)))
+            report = AxiomReport.from_residual(
+                "Tf-delta", n, rep.residual_trail[-1], tol_delta)
+        return _report_rows([report], rep.stop_k, rep.estimated_rate)
 
-    morphism = check_derivative_morphism(target, x, lcfg,
-                                         samples=cfg["samples"], tol=tol,
-                                         seed=cfg["seed"],
-                                         radius=cfg["radius"])
-    rows.extend(_report_rows("derivative", irq.name, [morphism]))
+    target = MapBetweenCarriers(irq, irq, lambda p: p, name="id")
+    rows = _guard(cfg, ["Tf-id"], cfg["max_k"], tf_id, target)
+    if g is not None and g.delta is not None:
+        target = MapBetweenCarriers(irq, irq, g.delta, name="delta")
+        rows += _guard(cfg, ["Tf-delta"], cfg["max_k"], tf_delta, target)
+    rows += _guard(cfg, ["Tf-morphism"], None, lambda: _report_rows(
+        [check_derivative_morphism(target, x, lcfg, tol=tol,
+                                   **_sampling(cfg))]))
     return rows
 
 
@@ -297,30 +313,23 @@ def _exp_divide(irq, cfg):
     pts = irq.sample(cfg["seed"], 4 * cfg["samples"], cfg["radius"])
     n = cfg["samples"]
     a, b, x, v = (pts[i * n:(i + 1) * n] for i in range(4))
+
+    def level_rows(k):
+        y = right_divide_k(irq, k, b, a, method)
+        rows = _report_rows([AxiomReport.judge(
+            irq, "6.3", n, [(star_k(irq, k, y, a), b)], method.tol)], k)
+        return rows + _check(irq, cfg, "6.3-loop", lambda: [
+            (loop_isotope_k(irq, k, x, x, v, method), v),
+            (loop_isotope_k(irq, k, x, a, x, method), a)], k=k)
+
     rows = []
-    supported = 0
-    loop_tol = 0.0 if irq.is_exact else cfg["tol"]
     for k in (-1, 1, 2, 3):
+        # 6.3-loop divides at the same level, so it fails with 6.3.
         try:
-            y = right_divide_k(irq, k, b, a, method)
+            rows += _guard(cfg, ["6.3", "6.3-loop"], k, level_rows, k)
         except UnsupportedCarrierError:
             continue
-        except NonConvergenceError as err:
-            rows.append(_row("divide", irq.name, "6.3", k, n,
-                             err.trail[-1], None, False))
-            supported += 1
-            continue
-        supported += 1
-        residual = float(np.max(irq.metric(star_k(irq, k, y, a), b)))
-        rows.append(_row("divide", irq.name, "6.3", k, n, residual, None,
-                         residual <= method.tol))
-        unit = max(float(np.max(irq.metric(loop_isotope_k(irq, k, x, x, v,
-                                                          method), v))),
-                   float(np.max(irq.metric(loop_isotope_k(irq, k, x, a, x,
-                                                          method), a))))
-        rows.append(_row("divide", irq.name, "6.3-loop", k, n, unit, None,
-                         unit <= loop_tol))
-    if not supported:
+    if not rows:
         raise ConfigError(
             f"carrier {irq.name!r} supports right division at no level in "
             "the grid (-1, 1, 2, 3)")
@@ -333,15 +342,11 @@ def _exp_divide(irq, cfg):
         # the comparison row is only claimed on morphism carriers.
         if irq.group is not None and irq.group.is_morphism:
             lcfg = _limit_config(cfg, tol_lim)
-            limit = float(np.max(irq.metric(
+            rows += _check(irq, cfg, "6.3-limit", lambda: [(
                 loop_isotope_k(irq, k_lim, x, a, v, method),
-                emergent_sum(irq, x, a, v, lcfg)[0])))
-            rows.append(_row("divide", irq.name, "6.3-limit", k_lim, n,
-                             limit, None, limit <= tol_lim))
-        pre = float(np.max(irq.metric(
-            right_divide_k(irq, k_lim, a, x, method), a)))
-        rows.append(_row("divide", irq.name, "6.3-prefactor", k_lim, n, pre,
-                         None, pre <= tol_lim))
+                emergent_sum(irq, x, a, v, lcfg)[0])], tol_lim, k_lim)
+        rows += _check(irq, cfg, "6.3-prefactor", lambda: [(
+            right_divide_k(irq, k_lim, a, x, method), a)], tol_lim, k_lim)
     return rows
 
 
@@ -353,7 +358,8 @@ _RUNNERS = {"axioms": _exp_axioms, "converge": _exp_converge,
 def run_experiment(cfg):
     """Build the carrier, run the experiment, and return sorted rows."""
     irq = build_carrier(cfg["carrier"], cfg["params"])
-    rows = _RUNNERS[cfg["experiment"]](irq, cfg)
+    rows = [{"experiment": cfg["experiment"], "carrier": irq.name, **row}
+            for row in _RUNNERS[cfg["experiment"]](irq, cfg)]
     rows.sort(key=lambda r: (r["identity"],
                              r["k"] if isinstance(r["k"], int) else -(10 ** 9)))
     return rows
@@ -400,17 +406,6 @@ def _cmd_run(args):
     cfg = _resolve_config(file_cfg, args)
     try:
         rows = run_experiment(cfg)
-    except NonConvergenceError as err:
-        # A limit that failed to settle is a failing 5.1 uniformity row.
-        trail = err.trail or [float("inf")]
-        rows = [_row(cfg["experiment"], cfg["carrier"], "5.1-limit",
-                     cfg["max_k"], cfg["samples"], trail[-1], None, False)]
-    except InvalidPointError:
-        # Experiment iterates left the carrier's numerical domain: a
-        # failing row, not a configuration problem.
-        rows = [_row(cfg["experiment"], cfg["carrier"], "5.1-limit",
-                     cfg["max_k"], cfg["samples"], float("inf"), None,
-                     False)]
     except EmergentAlgebraError as err:
         raise ConfigError(str(err)) from err
     text = render(rows, cfg["format"])

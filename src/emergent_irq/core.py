@@ -207,6 +207,18 @@ class AxiomReport:
         return AxiomReport(identity, int(samples), max_residual,
                            float(tolerance), max_residual <= tolerance, note)
 
+    @staticmethod
+    def judge(irq, identity, samples, pairs, tol):
+        """Judge an identity by its worst residual over ``(lhs, rhs)`` pairs.
+
+        The residual is the ``np.max`` of ``irq.metric(lhs, rhs)`` over
+        every pair, so a NaN anywhere fails the identity.  Exact carriers
+        are held to zero residual whatever ``tol`` says.
+        """
+        worst = np.max([np.max(irq.metric(lhs, rhs)) for lhs, rhs in pairs])
+        return AxiomReport.from_residual(
+            identity, samples, worst, 0.0 if irq.is_exact else tol)
+
 
 class _Level:
     """Operations of one irq bound to one iteration level."""
@@ -261,13 +273,6 @@ def identity_names():
     return [name for name, _, _ in _IDENTITIES] + ["3.5k"]
 
 
-def _max_residual(irq, pairs):
-    worst = 0.0
-    for lhs, rhs in pairs:
-        worst = max(worst, float(np.max(irq.metric(lhs, rhs))))
-    return worst
-
-
 def sample_tuples(irq, seed, count, radius, arity):
     """Point batches for a check: ``arity`` arrays with one tuple per row.
 
@@ -296,31 +301,28 @@ def check_irq_axioms(irq, seed=0, count=250, radius=2.0, tol=1e-9,
     """
     for k in levels:
         _require_level(k)
-    eff_tol = 0.0 if irq.is_exact else float(tol)
     reports = []
     for name, arity, fn in _IDENTITIES:
         pts = sample_tuples(irq, seed, count, radius, arity)
-        n = int(np.shape(pts[0])[0])
-        worst = 0.0
-        for k in levels:
-            worst = max(worst, _max_residual(irq, fn(_Level(irq, k), *pts)))
-        reports.append(AxiomReport.from_residual(name, n, worst, eff_tol))
+        pairs = (pair for k in levels for pair in fn(_Level(irq, k), *pts))
+        reports.append(AxiomReport.judge(irq, name, np.shape(pts[0])[0],
+                                         pairs, tol))
 
     # 3.5k, the two-level grid identity.  Iterated operations at a common
     # basepoint compose additively, star_p(x, star_q(x, u)) = star_{p+q}(x, u),
     # so the compound level is p + q; pairs with p + q = 0 would need the
     # trivial level-0 operation and are skipped.
     x, u, v = sample_tuples(irq, seed, count, radius, 3)
-    n = int(np.shape(x)[0])
-    worst = 0.0
-    for p, q in itertools.product(levels, levels):
-        if p + q == 0:
-            continue
-        xu = star_k(irq, q, x, u)
-        xv = star_k(irq, q, x, v)
-        lhs = difference_k(irq, p, x, xu, xv)
+
+    def grid_pair(p, q):
+        lhs = difference_k(irq, p, x, star_k(irq, q, x, u),
+                           star_k(irq, q, x, v))
         rhs = star_k(irq, q, star_k(irq, p + q, x, u),
                      difference_k(irq, p + q, x, u, v))
-        worst = max(worst, float(np.max(irq.metric(lhs, rhs))))
-    reports.append(AxiomReport.from_residual("3.5k", n, worst, eff_tol))
+        return lhs, rhs
+
+    reports.append(AxiomReport.judge(
+        irq, "3.5k", np.shape(x)[0],
+        (grid_pair(p, q) for p, q in itertools.product(levels, levels)
+         if p + q != 0), tol))
     return reports

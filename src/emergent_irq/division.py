@@ -45,6 +45,7 @@ __all__ = [
     "t_map",
     "check_involution",
     "check_loos_axioms",
+    "loos_identity_names",
 ]
 
 # A truncated-product factor this close to neutral ends the product.
@@ -182,9 +183,17 @@ def check_involution(irq, samples=200, tol=1e-12, seed=0, radius=2.0):
     y, x = sample_tuples(irq, seed, samples, radius, 2)
     y1, x1 = t_map(irq, y, x)
     y2, x2 = t_map(irq, y1, x1)
-    worst = max(float(np.max(irq.metric(y2, y))), float(np.max(irq.metric(x2, x))))
-    eff_tol = 0.0 if irq.is_exact else float(tol)
-    return AxiomReport.from_residual("6.5", int(np.shape(x)[0]), worst, eff_tol)
+    return AxiomReport.judge(irq, "6.5", np.shape(x)[0], [(y2, y), (x2, x)],
+                             tol)
+
+
+def loos_identity_names(irq, isometry=None):
+    """Identities :func:`check_loos_axioms` reports on ``irq``, in order."""
+    if isometry is None:
+        isometry = irq.reflection_isometry
+    return (["L1", "L2", "L3", "L4", "L2-underline", "6.6", "6.8"]
+            + ["6.8-oracle"] * (irq.point_reflection is not None)
+            + ["6.8-iso"] * bool(isometry))
 
 
 def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
@@ -224,16 +233,11 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
     def inv(a, b):
         return emergent_inverse(irq, a, b, cfg)[0]
 
-    reports = [AxiomReport.from_residual(
-        "L1", n, float(np.max(irq.metric(inv(x, x), x))), tol)]
-
+    reports = [AxiomReport.judge(irq, "L1", n, [(inv(x, x), x)], tol)]
     i_xy = inv(x, y)
-    lhs = inv(x, inv(y, z))
-    rhs = inv(i_xy, inv(x, z))
-    reports.append(AxiomReport.from_residual(
-        "L2", n, float(np.max(irq.metric(lhs, rhs))), tol))
-    reports.append(AxiomReport.from_residual(
-        "L3", n, float(np.max(irq.metric(inv(x, i_xy), y))), tol))
+    reports.append(AxiomReport.judge(
+        irq, "L2", n, [(inv(x, inv(y, z)), inv(i_xy, inv(x, z)))], tol))
+    reports.append(AxiomReport.judge(irq, "L3", n, [(inv(x, i_xy), y)], tol))
 
     # L4 audit: pull the y-batch into the 0.5-ball around each x by star
     # contractions, drop pairs closer than delta_min, bound the ratio below.
@@ -257,29 +261,25 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
         bool(residual <= 0.0),
         note=f"min ratio d(inv(x,y),y)/d(x,y) = {c:.6g}, floor {expansion_floor:g}"))
 
-    worst_l2u, worst_66, worst_68 = 0.0, 0.0, 0.0
+    l2u, r66, r68 = [], [], []
     for k in levels:
         def und(a, b):
             return underline_inv_k(irq, k, a, b, method)
 
-        lhs = und(x, und(y, z))
-        rhs = und(und(x, y), und(x, z))
-        worst_l2u = max(worst_l2u, float(np.max(irq.metric(lhs, rhs))))
-        worst_66 = max(worst_66, float(np.max(irq.metric(und(x, y), i_xy))))
-        worst_68 = max(worst_68, float(np.max(irq.metric(
-            inverse_k(irq, k, x, y), inv(x, star_k(irq, k, y, x))))))
-    reports.append(AxiomReport.from_residual("L2-underline", n, worst_l2u, tol))
-    reports.append(AxiomReport.from_residual("6.6", n, worst_66, tol))
-    reports.append(AxiomReport.from_residual("6.8", n, worst_68, tol))
+        u_xy = und(x, y)
+        l2u.append((und(x, und(y, z)), und(u_xy, und(x, z))))
+        r66.append((u_xy, i_xy))
+        r68.append((inverse_k(irq, k, x, y), inv(x, star_k(irq, k, y, x))))
+    reports.append(AxiomReport.judge(irq, "L2-underline", n, l2u, tol))
+    reports.append(AxiomReport.judge(irq, "6.6", n, r66, tol))
+    reports.append(AxiomReport.judge(irq, "6.8", n, r68, tol))
 
     if irq.point_reflection is not None:
-        worst = float(np.max(irq.metric(i_xy, irq.point_reflection(x, y))))
-        reports.append(AxiomReport.from_residual("6.8-oracle", n, worst, tol))
+        reports.append(AxiomReport.judge(
+            irq, "6.8-oracle", n, [(i_xy, irq.point_reflection(x, y))], tol))
 
-    if isometry is None:
-        isometry = bool(getattr(irq, "reflection_isometry", False))
-    if isometry:
-        pres = float(np.max(np.abs(np.asarray(irq.metric(inv(x, y), inv(x, z)))
+    if "6.8-iso" in loos_identity_names(irq, isometry):
+        pres = float(np.max(np.abs(np.asarray(irq.metric(i_xy, inv(x, z)))
                                    - np.asarray(irq.metric(y, z)))))
         reports.append(AxiomReport.from_residual("6.8-iso", n, pres, tol))
     return reports

@@ -225,11 +225,8 @@ def verify_tangent_group(irq, x, cfg=None, samples=100, tol=1e-7, seed=0,
         ("5.2-alpha", [(irq.star(xs, s_uv),
                         add(xs, irq.star(xs, u), irq.star(xs, v)))]),
     ]
-    reports = []
-    for name, pairs in checks:
-        worst = max(float(np.max(irq.metric(lhs, rhs))) for lhs, rhs in pairs)
-        reports.append(AxiomReport.from_residual(name, samples, worst, tol))
-    return reports
+    return [AxiomReport.judge(irq, name, samples, pairs, tol)
+            for name, pairs in checks]
 
 
 def check_distributive(irq, samples=200, tol=1e-6, seed=0, radius=2.0):
@@ -248,15 +245,10 @@ def check_distributive(irq, samples=200, tol=1e-6, seed=0, radius=2.0):
     :returns: a single :class:`AxiomReport` labeled 6.1.
     """
     x, u, v = sample_tuples(irq, seed, samples, radius, 3)
-    eff_tol = 0.0 if irq.is_exact else float(tol)
-    worst = 0.0
-    for outer in (irq.star, irq.back):
-        for inner in (irq.star, irq.back):
-            lhs = outer(x, inner(u, v))
-            rhs = inner(outer(x, u), outer(x, v))
-            worst = max(worst, float(np.max(irq.metric(lhs, rhs))))
-    return AxiomReport.from_residual("6.1", int(np.shape(x)[0]), worst,
-                                     eff_tol)
+    ops = (irq.star, irq.back)
+    pairs = ((outer(x, inner(u, v)), inner(outer(x, u), outer(x, v)))
+             for outer in ops for inner in ops)
+    return AxiomReport.judge(irq, "6.1", np.shape(x)[0], pairs, tol)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from emergent_irq.cli import main, render
+from emergent_irq.core import identity_names
 
 HEADER = "experiment,carrier,identity,k,samples,max_residual,rate,passed"
 
@@ -239,3 +240,70 @@ def test_list_commands(capsys):
     for name in ("axioms", "converge", "reconstruct", "symmetric",
                  "derivative", "divide"):
         assert name in out
+
+
+def identities(out):
+    return [line.split(",")[2] for line in out.strip().split("\n")[1:]]
+
+
+# The default perturbed symmetric run takes seconds; its rows are pinned in
+# test_symmetric_row_sets.
+PERTURBED_SYMMETRIC = ["6.5", "6.6", "6.8", "L1", "L2", "L2-underline",
+                       "L3", "L4"]
+
+
+@pytest.mark.parametrize("experiment", ["converge", "reconstruct",
+                                        "symmetric", "derivative", "divide"])
+@pytest.mark.parametrize("carrier", ["euclidean", "heisenberg", "perturbed"])
+def test_limit_failures_keep_their_rows(capsys, carrier, experiment):
+    # At max_k 5 the limits cannot settle; every row that needs one fails
+    # under its own name, and the other rows stay.
+    argv = ["run", "--carrier", carrier, "--experiment", experiment,
+            "--samples", "20"]
+    rc, out, err = run(capsys, argv + ["--max-k", "5"])
+    assert rc == 1, err
+    if (carrier, experiment) == ("perturbed", "symmetric"):
+        expected = PERTURBED_SYMMETRIC
+    else:
+        expected = identities(run(capsys, argv)[1])
+    assert identities(out) == expected
+    assert "5.1-limit" not in out
+
+
+def test_failed_limit_rows_follow_the_failure_rule(capsys):
+    rc, out, _ = run(capsys, ["run", "--carrier", "heisenberg",
+                              "--experiment", "converge", "--samples", "20",
+                              "--max-k", "5"])
+    assert rc == 1
+    rows = {r[2]: r for r in (line.split(",")
+                              for line in out.strip().split("\n")[1:])}
+    for op in ("sum", "dif", "inv"):
+        limit, oracle = rows[f"5.1-{op}"], rows[f"4.6-{op}"]
+        # Stop-level rows report max_k; the oracle fails at its limit's
+        # last trail step.
+        assert limit[3] == oracle[3] == "5"
+        assert limit[5] == oracle[5] and float(limit[5]) > 0.0
+        assert limit[7] == oracle[7] == "false"
+
+
+def test_axioms_off_the_carrier_fail_every_identity(tmp_path, capsys):
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({"radius": 10}))
+    rc, out, _ = run(capsys, ["run", "--carrier", "hyperbolic",
+                              "--experiment", "axioms", "--config", str(cfg)])
+    assert rc == 1
+    assert identities(out) == sorted(identity_names())
+    assert all(line.endswith(",250,inf,,false")
+               for line in out.strip().split("\n")[1:])
+
+
+def test_failed_loos_rows_keep_the_involution_row(capsys):
+    rc, out, _ = run(capsys, ["run", "--carrier", "perturbed",
+                              "--experiment", "symmetric", "--tol", "1e-10",
+                              "--samples", "20"])
+    assert rc == 1
+    lines = out.strip().split("\n")[1:]
+    assert identities(out) == PERTURBED_SYMMETRIC
+    assert lines[0].startswith("symmetric,perturbed,6.5,,20,")
+    assert lines[0].endswith(",true")
+    assert all(line.endswith(",false") for line in lines[1:])

@@ -1,5 +1,7 @@
 """Level-k operations, their validation, and the irq identity suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from emergent_irq.carriers import (make_dihedral_quandle, make_euclidean,
 from emergent_irq.core import (DEFAULT_LEVELS, MAX_ITER_EXPONENT, AxiomReport,
                                back_k, check_irq_axioms, difference_k,
                                identity_names, inverse_k, star_k, sum_k)
+from emergent_irq.division import check_involution
 from emergent_irq.errors import InvalidExponentError
+from emergent_irq.limits import check_distributive
 
 
 def test_level_validation_rejects_bad_exponents():
@@ -133,3 +137,40 @@ def test_axiom_report_from_residual():
     assert not AxiomReport.from_residual("P1", 10, float("nan"), 1e-9).passed
     noted = AxiomReport.from_residual("L4", 3, 0.0, 0.0, note="ratio 2.0")
     assert noted.note == "ratio 2.0" and noted.passed
+
+
+def nan_first(irq):
+    """The carrier with a metric that answers NaN on its first call only."""
+    calls = []
+
+    def metric(x, y):
+        calls.append(1)
+        d = irq.metric(x, y)
+        return np.full_like(d, np.nan) if len(calls) == 1 else d
+
+    return dataclasses.replace(irq, metric=metric)
+
+
+def test_nan_residual_fails_its_row():
+    eu = make_euclidean(2, 0.5)
+    reports = check_irq_axioms(nan_first(eu), count=20)
+    assert reports[0].identity == "P1"
+    assert np.isnan(reports[0].max_residual) and not reports[0].passed
+    assert all(r.passed for r in reports[1:])
+    for check in (check_distributive, check_involution):
+        rep = check(nan_first(eu), samples=20)
+        assert np.isnan(rep.max_residual) and not rep.passed, rep.identity
+        assert check(eu, samples=20).passed
+
+
+def test_axiom_report_judge():
+    eu = make_euclidean(1, 0.5)
+    x, y = np.array([[0.0], [1.0]]), np.array([[0.0], [1.5]])
+    rep = AxiomReport.judge(eu, "6.1", 2, [(x, x), (x, y)], 1.0)
+    assert rep.max_residual == 0.5 and rep.passed and rep.tolerance == 1.0
+    assert not AxiomReport.judge(eu, "6.1", 2, [(x, y)], 0.4).passed
+    # Exact carriers are held to zero whatever the tolerance.
+    dq = make_dihedral_quandle(5)
+    rep = AxiomReport.judge(dq, "6.5", 2, [(np.array([0, 1]),
+                                            np.array([0, 2]))], 1.0)
+    assert rep.tolerance == 0.0 and not rep.passed

@@ -11,8 +11,8 @@ from emergent_irq.core import inverse_k, star_k
 from emergent_irq.division import (DivisionMethod, check_involution,
                                    check_loos_axioms,
                                    default_division_method,
-                                   loop_isotope_k, right_divide_k, t_map,
-                                   underline_inv_k)
+                                   loop_isotope_k, loos_identity_names,
+                                   right_divide_k, t_map, underline_inv_k)
 from emergent_irq.errors import NonConvergenceError, UnsupportedCarrierError
 from emergent_irq.limits import LimitConfig, emergent_inverse, emergent_sum
 
@@ -219,6 +219,17 @@ def test_hyperbolic_loos_axioms():
                      "6.8-oracle", "6.8-iso"]
     for r in reports:
         assert r.passed, (r.identity, r.max_residual)
+
+
+def test_loos_identity_names_match_reports():
+    for irq in (make_euclidean(2, 0.5), make_heisenberg(0.5)):
+        for isometry in (None, False, True):
+            reports = check_loos_axioms(irq, samples=10, isometry=isometry)
+            assert [r.identity for r in reports] == loos_identity_names(
+                irq, isometry), (irq.name, isometry)
+    assert loos_identity_names(make_euclidean(2, 0.5))[-2:] == [
+        "6.8-oracle", "6.8-iso"]
+    assert "6.8-iso" not in loos_identity_names(make_heisenberg(0.5))
 
 
 def test_loos_axioms_need_uniform_carrier():
