@@ -20,7 +20,8 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core import Irq
-from ..errors import CarrierConstructionError, UnsupportedCarrierError
+from ..errors import (CarrierConstructionError, NonConvergenceError,
+                      UnsupportedCarrierError)
 
 __all__ = [
     "GroupOps",
@@ -153,10 +154,10 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
 
         delta(x1, x2) = (eps x1 + eta sin x2, eps x2 + eta sin x1)
 
-    which fixes 0 and is invertible by Picard iteration (the inversion map
-    is a contraction with factor eta/eps).  Limits of iterated operations
-    exist, but the level-k operations are not distributive, so group
-    reconstruction must reject this carrier.
+    which fixes 0 and is inverted by Newton's method on its closed-form
+    Jacobian.  Limits of iterated operations exist, but the level-k
+    operations are not distributive, so group reconstruction must reject
+    this carrier.
 
     Requires 0 < eta < eps and eps + eta < 1.
     """
@@ -168,28 +169,63 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
         raise CarrierConstructionError(
             f"need 0 < eta < epsilon and epsilon + eta < 1, got {epsilon}, {eta}")
 
-    def swap(p):
-        return np.stack([np.sin(p[..., 1]), np.sin(p[..., 0])], axis=-1)
+    # Newton's method on delta(x) = q.  The Jacobian [[eps, eta cos x2],
+    # [eta cos x1, eps]] has determinant >= eps^2 - eta^2 > 0 and condition
+    # number cond <= (eps + eta)/(eps - eta): each step is a closed-form 2x2
+    # solve, and rounding leaves the last steps near cond ulps of |x|.
+    eps2, eta2 = epsilon * epsilon, eta * eta
+    step_tol = 1e-15 * (epsilon + eta) / (epsilon - eta)
+    # Below this step size a full step at least halves the error: the error
+    # is within cond |step|, and across it the Jacobian moves by at most
+    # eta |error| / 2 against an inverse bounded by 1 / (eps - eta).
+    full_step = (epsilon - eta) ** 2 / (eta * (epsilon + eta))
 
     def delta(p):
         p = np.asarray(p, dtype=float)
-        return epsilon * p + eta * swap(p)
+        return epsilon * p + eta * np.sin(p[..., ::-1])
 
     def delta_inverse(q):
-        # The stop must be relative to the input scale: iterated delta^-k
-        # chains feed tiny intermediate values through here, and an absolute
-        # floor would inject errors that later inverse steps amplify.
         q = np.asarray(q, dtype=float)
-        scale = float(np.max(np.abs(q)))
-        if scale == 0.0:
-            return q
+        finite = np.isfinite(q).all(axis=-1, keepdims=True)
+        if not finite.all():
+            # A row with a non-finite coordinate has no preimage.
+            return np.where(finite, delta_inverse(np.where(finite, q, 0.0)),
+                            np.nan)
         x = q / epsilon
-        for _ in range(200):
-            nxt = (q - eta * swap(x)) / epsilon
-            if np.max(np.abs(nxt - x)) <= 1e-15 * scale:
-                return nxt
-            x = nxt
-        return x
+        r = delta(x) - q
+        for _ in range(50):
+            c = np.cos(x)
+            det = eps2 - eta2 * c[..., 0] * c[..., 1]
+            step = (epsilon * r - eta * (c * r)[..., ::-1]) / det[..., None]
+            size = np.abs(step).max()
+            # The stop must be relative to the scale: iterated delta^-k
+            # chains feed tiny intermediate values through here, and an
+            # absolute floor would inject errors that later inverse steps
+            # amplify.
+            limit = step_tol * np.abs(x).max()
+            new = x - step
+            if size <= limit:
+                return new
+            r_new = delta(new) - q
+            if size > full_step:
+                # Armijo backtracking: halve the step on the rows whose
+                # squared residual it does not cut by the factor 1 - t/2,
+                # until the halved step is negligible.
+                sq = (r * r).sum(axis=-1)
+                rows = np.abs(step).max(axis=-1)
+                t = np.ones(sq.shape)
+                while True:
+                    worse = (((r_new * r_new).sum(axis=-1) > (1 - t / 2) * sq)
+                             & (t * rows > limit))
+                    if not worse.any():
+                        break
+                    t = np.where(worse, t / 2, t)
+                    new = x - t[..., None] * step
+                    r_new = delta(new) - q
+            x, r = new, r_new
+        raise NonConvergenceError(
+            f"inverse dilation on {name!r}: Newton step {size:.3e} above "
+            f"{limit:.3e} after 50 iterations")
 
     group = GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
                      inv=lambda a: -np.asarray(a, dtype=float),

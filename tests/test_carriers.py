@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
@@ -19,7 +19,7 @@ from emergent_irq.carriers import (GradedLieAlgebra, GroupOps, build_carrier,
 from emergent_irq.carriers.carnot import bch_product, dilation
 from emergent_irq.core import star_k
 from emergent_irq.errors import (CarrierConstructionError, InvalidPointError,
-                                 UnsupportedCarrierError)
+                                 NonConvergenceError, UnsupportedCarrierError)
 from heisenberg_law import heis_dilate, heis_inv, heis_mul
 
 
@@ -410,6 +410,43 @@ def test_perturbed_delta_roundtrip():
     x = rng.uniform(-2, 2, size=(50, 2))
     assert float(np.max(pert.metric(pert.back(x, pert.star(x, p)),
                                     p))) <= 1e-13
+
+
+@settings(deadline=None, max_examples=200)
+@given(eps=st.floats(0.05, 0.95), ratio=st.floats(1e-3, 0.98),
+       log_scale=st.floats(-12, 1), rows=st.sampled_from([None, 1, 7, 100]),
+       seed=st.integers(0, 2**32 - 1))
+# Full Newton steps wander here for more than 50 iterations; only the
+# backtracking on the residual brings them in.
+@example(eps=0.5, ratio=0.98, log_scale=-1.0, rows=100, seed=7)
+def test_perturbed_delta_inverse_solves_delta(eps, ratio, log_scale, rows,
+                                              seed):
+    # eta = ratio * min(eps, 1 - eps) keeps 0 < eta < eps, eps + eta < 1 and
+    # eta/eps <= 0.98, where the Jacobian's condition number
+    # (eps + eta)/(eps - eta) reaches 99.  The inverse stops once its Newton
+    # step is within 1e-15 times that condition number of |x|; the worst
+    # relative residual over 6000 random draws of this domain was 1.3e-14,
+    # so 1e-12 leaves a margin near 100, while an inverse that stops short
+    # of convergence near eta/eps = 0.98 misses it by orders of magnitude.
+    eta = ratio * min(eps, 1.0 - eps)
+    ops = make_perturbed_plane(eps, eta).group
+    shape = (2,) if rows is None else (rows, 2)
+    q = np.random.default_rng(seed).uniform(-1, 1, shape) * 10.0 ** log_scale
+    scale = float(np.max(np.abs(q)))
+    np.testing.assert_allclose(ops.delta(ops.delta_inv(q)), q, rtol=0,
+                               atol=1e-12 * scale)
+
+
+def test_perturbed_delta_inverse_non_finite():
+    ops = make_perturbed_plane(0.5, 0.1).group
+    q = np.array([[np.nan, 1.0], [0.3, -0.2], [np.inf, 0.0]])
+    x = ops.delta_inv(q)
+    # Rows without a preimage come back NaN; the others are inverted.
+    assert np.isnan(x[[0, 2]]).all()
+    assert np.allclose(ops.delta(x[1]), q[1], rtol=0, atol=1e-15)
+    # A preimage beyond the float range raises instead of returning a point.
+    with np.errstate(all="ignore"), pytest.raises(NonConvergenceError):
+        ops.delta_inv(np.array([1e308, 0.0]))
 
 
 def test_perturbed_construction_errors():

@@ -111,7 +111,32 @@ def test_reconstruct_rejects_perturbed(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 2
     assert lines[1] == ("reconstruct,perturbed,6.1,,200,"
-                        "1.4259168609166193,,false")
+                        "1.4259168609166206,,false")
+
+
+# Every perturbed cell but symmetric (pinned in test_symmetric_row_sets) at
+# the CLI defaults: exit code and each row's (identity, passed).  These rows
+# all evaluate the carrier's inverse dilation.
+PERTURBED_CELLS = {
+    "axioms": (0, [(name, "true") for name in sorted(identity_names())]),
+    "converge": (0, [("5.1-dif", "true"), ("5.1-inv", "true"),
+                     ("5.1-sum", "true")]),
+    "reconstruct": (1, [("6.1", "false")]),
+    "derivative": (0, [("Tf-delta", "true"), ("Tf-id", "true"),
+                       ("Tf-morphism", "true")]),
+    "divide": (0, [("6.3", "true")] * 4 + [("6.3-loop", "true")] * 4
+               + [("6.3-prefactor", "true")]),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PERTURBED_CELLS))
+def test_perturbed_cell_verdicts(capsys, experiment):
+    rc_want, rows_want = PERTURBED_CELLS[experiment]
+    rc, out, _ = run(capsys, ["run", "--carrier", "perturbed",
+                              "--experiment", experiment])
+    assert rc == rc_want
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [(r[2], r[7]) for r in rows] == rows_want
 
 
 def test_reconstruct_heisenberg_passes(capsys):

@@ -206,9 +206,11 @@ def test_perturbed_loos_axioms():
     l4 = reports[3]
     assert "min ratio" in l4.note
     # Asking the inner limits for accuracy below the carrier's numerical
-    # floor must surface as non-convergence, not as silent bad rows.
+    # floor must surface as non-convergence, not as silent bad rows.  The
+    # trails bottom out near 2e-9 to 3.5e-9 depending on rounding, so ask
+    # for well below that.
     with pytest.raises(NonConvergenceError, match="bottomed out"):
-        check_loos_axioms(pert, LimitConfig(tol=2.5e-9), samples=30)
+        check_loos_axioms(pert, LimitConfig(tol=1e-9), samples=30)
 
 
 def test_hyperbolic_loos_axioms():
