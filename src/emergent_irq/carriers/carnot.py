@@ -250,10 +250,15 @@ def _layer_slices(layer_dims):
 
 def layer_max_norm(layer_dims, g):
     """max_i ||layer_i(g)||_2, the residual norm used by carrier metrics."""
+    # sqrt is monotone, so the max of the squared layer norms is rooted
+    # once; each layer sums its squares as np.linalg.norm does.
     g = np.asarray(g, dtype=float)
-    parts = [np.linalg.norm(g[..., sl], axis=-1)
-             for sl in _layer_slices(tuple(layer_dims))]
-    return np.max(np.stack(parts, axis=-1), axis=-1)
+    sq = g * g
+    first, *rest = _layer_slices(tuple(layer_dims))
+    worst = np.add.reduce(sq[..., first], axis=-1)
+    for sl in rest:
+        worst = np.maximum(worst, np.add.reduce(sq[..., sl], axis=-1))
+    return np.sqrt(worst)
 
 
 def homogeneous_norm(irq, g):

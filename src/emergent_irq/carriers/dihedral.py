@@ -45,6 +45,11 @@ def make_dihedral_quandle(n, name=None):
         half = pow(2, -1, n)
         return np.mod((np.asarray(a) + np.asarray(b)) * half, n)
 
+    def level_star(k, x, u):
+        if k % 2:
+            return star(x, u)
+        return np.mod(np.broadcast_arrays(x, u)[1], n)
+
     return Irq(name=name or f"dihedral{n}", star=star, back=star,
                metric=metric, sample=sample, base=np.int64(0), size=n,
-               is_exact=True, divide=divide)
+               is_exact=True, divide=divide, level_star=level_star)

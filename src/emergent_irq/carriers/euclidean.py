@@ -28,6 +28,8 @@ def make_euclidean(dim, epsilon, name=None):
         raise CarrierConstructionError(f"dim must be >= 1, got {dim}")
     if not 0.0 < epsilon < 1.0:
         raise CarrierConstructionError(f"epsilon must lie in (0, 1), got {epsilon}")
+    # Float64 powers overflow to inf instead of raising OverflowError.
+    eps = np.float64(epsilon)
 
     def delta(g):
         return epsilon * np.asarray(g, dtype=float)
@@ -36,12 +38,12 @@ def make_euclidean(dim, epsilon, name=None):
         return np.asarray(g, dtype=float) / epsilon
 
     def delta_power(m, g):
-        return epsilon ** m * np.asarray(g, dtype=float)
+        return eps ** m * np.asarray(g, dtype=float)
 
     def divide(k, b, a):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        w = epsilon ** k
+        w = eps ** k
         return (b - w * a) / (1.0 - w)
 
     def point_reflection(x, y):

@@ -111,8 +111,9 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
             return neutral + direction * r
 
     # Iterating star cancels the basepoint inside each step, so for any
-    # delta (morphism or not) x *_k u = x delta^k(x^-1 u), and the derived
-    # operations rearrange to products of displacements:
+    # delta (morphism or not) x *_k u = x delta^k(x^-1 u), one product and
+    # one power per level, and the derived operations rearrange to products
+    # of displacements:
     #
     #     difference_k(x,u,v) = x (s delta^-k(s^-1 t))
     #     sum_k(x,u,v)        = x delta^-k(s delta^k((x s)^-1 v))
@@ -122,6 +123,9 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
     # operations instead would round each intermediate at the basepoint's
     # magnitude and re-amplify the rounding by delta^-k; these forms keep
     # every small factor at its own scale.
+
+    def level_star(k, x, u):
+        return ops.mul(x, ops.power(k, _conjugate(ops, x, u)))
 
     def level_difference(k, x, u, v):
         s = ops.power(k, _conjugate(ops, x, u))
@@ -143,7 +147,7 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
                point_reflection=point_reflection,
                reflection_isometry=reflection_isometry,
                level_difference=level_difference, level_sum=level_sum,
-               level_inverse=level_inverse)
+               level_inverse=level_inverse, level_star=level_star)
 
 
 def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):

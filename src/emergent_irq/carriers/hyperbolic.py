@@ -27,6 +27,11 @@ __all__ = ["make_hyperbolic", "exp_map", "log_map", "geodesic_distance",
 # Below this fraction of the scale, a geodesic counts as vertical.
 _VERTICAL = 1e-13
 
+# A subnormal tangent vector has too few bits for v / |v| to be a unit
+# vector, and moves any coordinate above ~1e-292 by less than an ulp, so
+# exp_map treats one as zero.
+_TINY = np.finfo(float).tiny
+
 
 def _check_points(*pts):
     for p in pts:
@@ -92,7 +97,7 @@ def exp_map(p, v):
     x0, y0 = p[..., 0], p[..., 1]
     nv = np.hypot(v[..., 0], v[..., 1])
     s = nv / y0
-    zero = nv == 0.0
+    zero = nv < _TINY
     nv_safe = np.where(zero, 1.0, nv)
     ux = np.where(zero, 0.0, v[..., 0] / nv_safe)
     uy = np.where(zero, 1.0, v[..., 1] / nv_safe)
@@ -131,6 +136,8 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
         raise CarrierConstructionError(f"epsilon must lie in (0, 1), got {epsilon}")
+    # Float64 powers overflow to inf instead of raising OverflowError.
+    eps = np.float64(epsilon)
     base = np.array([0.0, 1.0])
 
     def star(x, u):
@@ -147,17 +154,22 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
         return exp_map(base, v)
 
     def divide(k, b, a):
-        return exp_map(a, log_map(a, b) / (1.0 - epsilon ** k))
+        return exp_map(a, log_map(a, b) / (1.0 - eps ** k))
 
     # Geodesic scalings at x keep every composite on the geodesic through
-    # x and u, so in the arclength chart at x the level-k inverse is the
-    # affine expression eps^k t - t; composing the point operations instead
-    # would recover the eps^k-small displacement from full-magnitude
-    # coordinates and re-amplify its rounding by eps^-k.
+    # x and u, so in the arclength chart at x the k-fold star is one
+    # scaling by eps^k and the level-k inverse is the affine expression
+    # eps^k t - t; composing the point operations instead would recover the
+    # eps^k-small displacement from full-magnitude coordinates and
+    # re-amplify its rounding by eps^-k.
+    def level_star(k, x, u):
+        return exp_map(x, eps ** k * log_map(x, u))
+
     def level_inverse(k, x, u):
-        return exp_map(x, (epsilon ** k - 1.0) * log_map(x, u))
+        return exp_map(x, (eps ** k - 1.0) * log_map(x, u))
 
     return Irq(name=name, star=star, back=back, metric=geodesic_distance,
                sample=sample, base=base, dim=2, is_uniform=True,
                epsilon=epsilon, divide=divide, point_reflection=reflect,
-               reflection_isometry=True, level_inverse=level_inverse)
+               reflection_isometry=True, level_inverse=level_inverse,
+               level_star=level_star)

@@ -107,6 +107,12 @@ class Irq:
         ``sum_k``, same contract.
     :param level_inverse: optional stable evaluator ``(k, x, u)`` for
         ``inverse_k``, same contract.
+    :param level_star: optional evaluator ``(k, x, u) -> x *_k u`` for any
+        nonzero int k, negative k expanding, so ``back_k`` at k is
+        ``level_star`` at -k.  Must equal the iterated definition in real
+        arithmetic.  Carriers whose k-fold star collapses to one step (a
+        dilation power, a geodesic scaling, a parity rule) set it, so a
+        level costs one carrier step instead of |k|.
     """
 
     name: str
@@ -128,6 +134,7 @@ class Irq:
     level_difference: Callable[..., Any] | None = None
     level_sum: Callable[..., Any] | None = None
     level_inverse: Callable[..., Any] | None = None
+    level_star: Callable[..., Any] | None = None
 
 
 def _require_level(k):
@@ -149,8 +156,11 @@ def _iterate(op, x, u, times):
 
 
 def star_k(irq, k, x, u):
-    """Level-k star: |k|-fold star for k > 0, |k|-fold back for k < 0."""
+    """Level-k star: |k|-fold star for k > 0, |k|-fold back for k < 0,
+    in one step when the carrier sets ``level_star``."""
     k = _require_level(k)
+    if irq.level_star is not None:
+        return irq.level_star(k, x, u)
     op = irq.star if k > 0 else irq.back
     return _iterate(op, x, u, abs(k))
 
@@ -158,6 +168,8 @@ def star_k(irq, k, x, u):
 def back_k(irq, k, x, u):
     """Level-k back, the inverse of ``star_k(x, .)``."""
     k = _require_level(k)
+    if irq.level_star is not None:
+        return irq.level_star(-k, x, u)
     op = irq.back if k > 0 else irq.star
     return _iterate(op, x, u, abs(k))
 

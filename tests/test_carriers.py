@@ -523,6 +523,18 @@ def test_hyperbolic_star_contracts_and_divides():
                                               u))) <= 1e-10
 
 
+def test_hyperbolic_exp_of_subnormal_tangent_stays_put():
+    # A subnormal tangent vector moves no coordinate of p by an ulp; its
+    # few bits cannot give a unit direction, and the circle formula then
+    # landed 0.07 away.  star_k at eps = 0.01, k = 161 produces one.
+    p = np.array([-0.09026503, 1.56091684])
+    v = np.array([9.9e-324, -7.4e-323])
+    assert np.array_equal(exp_map(p, v), p)
+    hyp = make_hyperbolic(0.01)
+    x, u = hyp.sample(0, 2, 0.5)
+    assert float(geodesic_distance(star_k(hyp, 161, x, u), x)) == 0.0
+
+
 def test_hyperbolic_point_validation():
     with pytest.raises(InvalidPointError):
         geodesic_distance([0.0, 1.0], [0.0, -1.0])

@@ -5,13 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from emergent_irq.carriers import (make_dihedral_quandle, make_euclidean,
-                                   make_heisenberg)
+from emergent_irq.carriers import (GradedLieAlgebra, make_carnot,
+                                   make_dihedral_quandle, make_engel,
+                                   make_euclidean, make_heisenberg,
+                                   make_hyperbolic, make_perturbed_plane)
 from emergent_irq.core import (DEFAULT_LEVELS, MAX_ITER_EXPONENT, AxiomReport,
-                               back_k, check_irq_axioms, difference_k,
-                               identity_names, inverse_k, star_k, sum_k)
-from emergent_irq.division import check_involution
-from emergent_irq.errors import InvalidExponentError
+                               _iterate, back_k, check_irq_axioms,
+                               difference_k, identity_names, inverse_k,
+                               star_k, sum_k)
+from emergent_irq.division import check_involution, right_divide_k
+from emergent_irq.errors import EmergentAlgebraError, InvalidExponentError
 from emergent_irq.limits import check_distributive
 
 
@@ -88,6 +91,102 @@ def test_dihedral_star_k_depends_only_on_parity():
         assert np.array_equal(star_k(dq, k, x, u), u)
     for k in (1, -1, 3, -3):
         assert np.array_equal(star_k(dq, k, x, u), dq.star(x, u))
+
+
+def _filiform4():
+    return make_carnot(GradedLieAlgebra.from_brackets(
+        (2, 1, 1, 1), [(0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (0, 3, {4: 1.0})]),
+        0.5)
+
+
+# Every bundled constructor: (carrier, sample radius, lowest level).
+# Hyperbolic stays within radius 0.5 and level -3, about 4 units from x:
+# past ~15 units the half-plane chart loses its digits whichever way the
+# level is evaluated (both forms miss the distance by 36% at level -6).
+BUNDLED = (
+    (make_euclidean(3, 0.5), 2.0, -6),
+    (make_heisenberg(0.5), 2.0, -6),
+    (make_engel(0.5), 2.0, -6),
+    (_filiform4(), 2.0, -6),
+    (make_perturbed_plane(0.5, 0.1), 2.0, -6),
+    (make_dihedral_quandle(9), 0.0, -6),
+    (make_hyperbolic(0.5), 0.5, -3),
+)
+
+
+@pytest.mark.parametrize("irq,radius,lowest", BUNDLED,
+                         ids=[irq.name for irq, _, _ in BUNDLED])
+def test_level_star_matches_iterated_definition(irq, radius, lowest):
+    # The one-step evaluator against |k| steps of star or back, relative to
+    # the size of the result, max(1, d(x, iterated)).  Measured worst over
+    # seeds 0-3: 5.4e-15 on the group carriers (step-4 Carnot at level -6,
+    # tens of ulps), 2.5e-13 on hyperbolic (level -3), exactly 0 on
+    # dihedral.  The tolerances leave a factor of about 20 above those.
+    tol = 0.0 if irq.is_exact else 5e-12 if irq.group is None else 1e-13
+    pts = irq.sample(0, 80, radius)
+    x, u = pts[:40], pts[40:]
+    for level in range(lowest, 7):
+        if level == 0:
+            continue
+        iterated = _iterate(irq.star if level > 0 else irq.back, x, u,
+                            abs(level))
+        scale = np.maximum(1.0, irq.metric(x, iterated))
+        for got in (star_k(irq, level, x, u), back_k(irq, -level, x, u)):
+            worst = float(np.max(irq.metric(got, iterated) / scale))
+            assert worst <= tol, (irq.name, level, worst)
+
+
+def test_hyperbolic_level_star_scales_distance():
+    # star_k moves u along the geodesic through x to eps^k times its
+    # distance.  Measured worst deviation over levels -3..6 at radius 0.5,
+    # seeds 0-5, relative to max(1, eps^k d): 9.0e-14, never above what
+    # |k| iterated steps reach (9.0e-14).  2e-12 leaves a factor of 20.
+    hyp = make_hyperbolic(0.5)
+    pts = hyp.sample(1, 80, 0.5)
+    x, u = pts[:40], pts[40:]
+    d = hyp.metric(x, u)
+    for level in (-3, -2, -1, 1, 2, 4, 6):
+        want = 0.5 ** level * d
+        moved = hyp.metric(x, star_k(hyp, level, x, u))
+        assert float(np.max(np.abs(moved - want)
+                            / np.maximum(1.0, want))) <= 2e-12
+
+
+@pytest.mark.parametrize("irq,radius,lowest", BUNDLED,
+                         ids=[irq.name for irq, _, _ in BUNDLED])
+def test_level_star_needs_no_carrier_step(irq, radius, lowest):
+    # With star and back unusable, every bundled carrier still evaluates a
+    # level in one step, to the same value.
+    def unusable(x, u):
+        raise AssertionError("star_k iterated a carrier step")
+
+    stubbed = dataclasses.replace(irq, star=unusable, back=unusable)
+    pts = irq.sample(2, 10, radius)
+    x, u = pts[:5], pts[5:]
+    for level in (7, -3):
+        assert np.array_equal(star_k(stubbed, level, x, u),
+                              star_k(irq, level, x, u))
+        assert np.array_equal(back_k(stubbed, level, x, u),
+                              back_k(irq, level, x, u))
+
+
+def test_deep_levels_with_small_epsilon_raise_library_errors():
+    # eps^k overflows a float at eps = 0.01, |k| = 160.  The calls may
+    # return non-finite points or raise a library error; a bare
+    # OverflowError is neither.
+    for irq in (make_euclidean(2, 0.01), make_hyperbolic(0.01)):
+        x, u, v = irq.sample(0, 3, 0.5)
+        for k in (160, -160):
+            calls = (lambda: inverse_k(irq, k, x, u),
+                     lambda: difference_k(irq, k, x, u, v),
+                     lambda: sum_k(irq, k, x, u, v),
+                     lambda: right_divide_k(irq, k, u, x))
+            for call in calls:
+                with np.errstate(all="ignore"):
+                    try:
+                        call()
+                    except EmergentAlgebraError:
+                        pass
 
 
 def test_identity_names_order():
