@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import AxiomReport, back_k, sample_tuples, star_k
 from .errors import CarrierConstructionError, UnsupportedCarrierError
-from .limits import _limit, emergent_sum
+from .limits import emergent_sum, limit
 
 __all__ = ["MapBetweenCarriers", "derivative", "check_derivative_morphism"]
 
@@ -70,7 +70,7 @@ def derivative(m, x, u, cfg=None):
     def value_at(k):
         return back_k(m.target, k, fx, m.fn(star_k(m.source, k, x, u)))
 
-    return _limit(m.target, value_at, cfg, f"derivative of {m.name!r}")
+    return limit(m.target, value_at, cfg, f"derivative of {m.name!r}")
 
 
 def check_derivative_morphism(m, x, cfg=None, samples=100, tol=1e-7, seed=0,

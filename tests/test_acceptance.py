@@ -106,7 +106,7 @@ def test_criterion_4_reconstruction():
 
 def test_criterion_5_division_and_loops():
     heis = make_heisenberg(0.5)
-    method = DivisionMethod("truncated_product", max_terms=60, tol=1e-10)
+    method = DivisionMethod("fixed_point", max_terms=60, tol=1e-10)
     pts = heis.sample(2, 200, 2.0)
     a, b = pts[:100], pts[100:]
     worst_div = 0.0
