@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import AxiomReport, back_k, sample_tuples, star_k
+from .core import AxiomReport, _at_levels, _back, _star, sample_tuples
 from .errors import CarrierConstructionError, UnsupportedCarrierError
 from .limits import emergent_sum, limit
 
@@ -60,6 +60,10 @@ def _require_uniform_pair(m):
 def derivative(m, x, u, cfg=None):
     """Derivative Tf(x, u) of a map between uniform irqs.
 
+    The limit evaluates its levels in blocks, so ``m.fn`` receives points
+    with the levels stacked on leading axes and must broadcast over them,
+    as carrier operations do.
+
     :returns: (value, ConvergenceReport).
     :raises NonConvergenceError: when the iterates do not settle, i.e. the
         map is not differentiable there at the configured depth.
@@ -67,10 +71,12 @@ def derivative(m, x, u, cfg=None):
     _require_uniform_pair(m)
     fx = m.fn(x)
 
-    def value_at(k):
-        return back_k(m.target, k, fx, m.fn(star_k(m.source, k, x, u)))
+    def level(k, x, u):
+        return _back(m.target, k, fx, m.fn(_star(m.source, k, x, u)))
 
-    return limit(m.target, value_at, cfg, f"derivative of {m.name!r}")
+    return limit(m.target,
+                 lambda ks: _at_levels((m.source, m.target), level, ks, x, u),
+                 cfg, f"derivative of {m.name!r}")
 
 
 def check_derivative_morphism(m, x, cfg=None, samples=100, tol=1e-7, seed=0,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import _level_power
 from ..errors import CarrierConstructionError
 from .group import GroupOps, make_group_irq
 
@@ -38,7 +39,7 @@ def make_euclidean(dim, epsilon, name=None):
         return np.asarray(g, dtype=float) / epsilon
 
     def delta_power(m, g):
-        return eps ** m * np.asarray(g, dtype=float)
+        return _level_power(eps, m) * np.asarray(g, dtype=float)
 
     def divide(k, b, a):
         a = np.asarray(a, dtype=float)

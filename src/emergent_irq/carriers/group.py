@@ -35,8 +35,10 @@ class GroupOps:
     """Group structure with an optional endomorphism delta.
 
     ``delta_power(m, g)`` applies delta m times (m may be negative when the
-    inverse exists); carriers with dilations supply an exact closed form.
-    ``is_morphism`` declares delta(gh) = delta(g)delta(h).
+    inverse exists); carriers with dilations supply an exact closed form,
+    which must also take m as an int array of levels that broadcasts
+    against g, as the limits pass a block of levels.  ``is_morphism``
+    declares delta(gh) = delta(g)delta(h).
     """
 
     mul: Callable[..., Any]

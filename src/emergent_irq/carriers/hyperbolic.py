@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Irq
+from ..core import Irq, _level_power
 from ..errors import CarrierConstructionError, InvalidPointError
 
 __all__ = ["make_hyperbolic", "exp_map", "log_map", "geodesic_distance",
@@ -163,10 +163,10 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
     # eps^k-small displacement from full-magnitude coordinates and
     # re-amplify its rounding by eps^-k.
     def level_star(k, x, u):
-        return exp_map(x, eps ** k * log_map(x, u))
+        return exp_map(x, _level_power(eps, k) * log_map(x, u))
 
     def level_inverse(k, x, u):
-        return exp_map(x, (eps ** k - 1.0) * log_map(x, u))
+        return exp_map(x, (_level_power(eps, k) - 1.0) * log_map(x, u))
 
     return Irq(name=name, star=star, back=back, metric=geodesic_distance,
                sample=sample, base=base, dim=2, is_uniform=True,

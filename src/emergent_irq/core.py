@@ -110,9 +110,17 @@ class Irq:
     :param level_star: optional evaluator ``(k, x, u) -> x *_k u`` for any
         nonzero int k, negative k expanding, so ``back_k`` at k is
         ``level_star`` at -k.  Must equal the iterated definition in real
-        arithmetic.  Carriers whose k-fold star collapses to one step (a
-        dilation power, a geodesic scaling, a parity rule) set it, so a
-        level costs one carrier step instead of |k|.
+        arithmetic.  Carriers whose k-fold star collapses to a closed form
+        (a dilation power, a geodesic scaling, a parity rule) set it, so a
+        level costs one carrier step instead of |k|.  ``make_group_irq``
+        sets it even without a closed-form ``delta_power``; a level then
+        costs |k| dilation steps.
+
+    On a uniform carrier with ``level_star`` (and, on a group carrier, a
+    ``delta_power``), the limits hand the four level hooks a block of
+    levels at once: k is then an int array shaped to broadcast against the
+    points, with the levels on its leading axis, and the hook returns the
+    values stacked along it.
     """
 
     name: str
@@ -155,47 +163,105 @@ def _iterate(op, x, u, times):
     return out
 
 
+# The level operations below take k unchecked: a nonzero int, or an int
+# array of levels that broadcasts against the points and puts the levels
+# on a new leading axis (see _at_levels).
+
+def _star(irq, k, x, u):
+    if irq.level_star is not None:
+        return irq.level_star(k, x, u)
+    return _iterate(irq.star if k > 0 else irq.back, x, u, abs(k))
+
+
+def _back(irq, k, x, u):
+    return _star(irq, -k, x, u)
+
+
+def _difference(irq, k, x, u, v):
+    if irq.level_difference is not None:
+        return irq.level_difference(k, x, u, v)
+    return _back(irq, k, _star(irq, k, x, u), _star(irq, k, x, v))
+
+
+def _sum(irq, k, x, u, v):
+    if irq.level_sum is not None:
+        return irq.level_sum(k, x, u, v)
+    return _back(irq, k, x, _star(irq, k, _star(irq, k, x, u), v))
+
+
+def _inverse(irq, k, x, u):
+    if irq.level_inverse is not None:
+        return irq.level_inverse(k, x, u)
+    return _back(irq, k, _star(irq, k, x, u), x)
+
+
 def star_k(irq, k, x, u):
     """Level-k star: |k|-fold star for k > 0, |k|-fold back for k < 0,
     in one step when the carrier sets ``level_star``."""
-    k = _require_level(k)
-    if irq.level_star is not None:
-        return irq.level_star(k, x, u)
-    op = irq.star if k > 0 else irq.back
-    return _iterate(op, x, u, abs(k))
+    return _star(irq, _require_level(k), x, u)
 
 
 def back_k(irq, k, x, u):
     """Level-k back, the inverse of ``star_k(x, .)``."""
-    k = _require_level(k)
-    if irq.level_star is not None:
-        return irq.level_star(-k, x, u)
-    op = irq.back if k > 0 else irq.star
-    return _iterate(op, x, u, abs(k))
+    return _back(irq, _require_level(k), x, u)
 
 
 def difference_k(irq, k, x, u, v):
     """Level-k difference of v and u based at x: back_k(x *_k u, x *_k v)."""
-    k = _require_level(k)
-    if irq.level_difference is not None:
-        return irq.level_difference(k, x, u, v)
-    return back_k(irq, k, star_k(irq, k, x, u), star_k(irq, k, x, v))
+    return _difference(irq, _require_level(k), x, u, v)
 
 
 def sum_k(irq, k, x, u, v):
     """Level-k sum of u and v based at x: back_k(x, (x *_k u) *_k v)."""
-    k = _require_level(k)
-    if irq.level_sum is not None:
-        return irq.level_sum(k, x, u, v)
-    return back_k(irq, k, x, star_k(irq, k, star_k(irq, k, x, u), v))
+    return _sum(irq, _require_level(k), x, u, v)
 
 
 def inverse_k(irq, k, x, u):
     """Level-k inverse of u based at x: back_k(x *_k u, x)."""
-    k = _require_level(k)
-    if irq.level_inverse is not None:
-        return irq.level_inverse(k, x, u)
-    return back_k(irq, k, star_k(irq, k, x, u), x)
+    return _inverse(irq, _require_level(k), x, u)
+
+
+def _level_power(eps, k):
+    """``eps ** k`` at an int level or an array of levels, rounded alike
+    however many levels are evaluated together.
+
+    NumPy rounds a scalar power, and one whose exponent it sees as a
+    single broadcast value (a 0-d array or a one-level block takes x*x at 2
+    and 1/x at -1), apart from the vectorised pow of a 1-D exponent; they
+    differ in the last bit for most eps other than powers of two.  So the
+    exponent is always flattened to 1-D first.
+    """
+    k = np.asarray(k)
+    return (np.float64(eps) ** k.ravel()).reshape(k.shape)
+
+
+def _level_cost_grows(irq):
+    """Whether a level costs more the deeper it lies: the carrier iterates
+    its star, or its group iterates the dilation."""
+    return irq.level_star is None or (irq.group is not None
+                                      and irq.group.delta_power is None)
+
+
+def _at_levels(irqs, level, ks, *points):
+    """``level(k, *points)`` at each level of the 1-D int array ``ks`` of
+    consecutive levels, stacked on a new leading axis.
+
+    The carriers in ``irqs`` see the levels as one array shaped
+    (B, 1) + (1,) * ndim, one axis more than the points have, so their
+    level hooks broadcast the whole block at once.  The spare axis keeps
+    the level axis apart from the points' own axes: a matrix product in a
+    carrier (the Carnot bracket) then multiplies the same rows at every
+    level as a one-level call does, and BLAS sums them in the same order.
+    Where a level's cost grows with k, each level is evaluated on its own
+    at an int k, as ``star_k`` and its kin evaluate it.
+    """
+    _require_level(int(ks[0]))
+    _require_level(int(ks[-1]))
+    if any(_level_cost_grows(irq) for irq in irqs):
+        return np.stack([level(int(k), *points) for k in ks])
+    ndim = max(np.ndim(p) for p in points)
+    out = level(np.reshape(ks, (-1,) + (1,) * (ndim + 1)), *points)
+    return out.reshape((len(ks),) + out.shape[2:])
 
 
 @dataclass(frozen=True)

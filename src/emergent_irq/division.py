@@ -26,6 +26,7 @@ with the Loos axiom checks L1-L4 for the limit inversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,20 +51,28 @@ __all__ = [
 # the iteration.
 _STEP_RTOL = 4.0 * np.finfo(float).eps
 
+# The fewest fixed-point iterations a division without ``max_terms`` allows.
+_MIN_TERMS = 200
+
 
 @dataclass(frozen=True)
 class DivisionMethod:
-    """How to solve y *_k a = b, and to what residual tolerance."""
+    """How to solve y *_k a = b, and to what residual tolerance.
+
+    ``max_terms`` caps the fixed-point iterations; left at None, the cap is
+    the number of steps a contraction with the carrier's ratio eps^|k|
+    needs to shrink a unit step to 4 ulps, and at least 200.
+    """
 
     kind: str
-    max_terms: int = 200
+    max_terms: int | None = None
     tol: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in ("closed_form", "fixed_point"):
             raise UnsupportedCarrierError(
                 f"unknown division method kind {self.kind!r}")
-        if int(self.max_terms) < 1:
+        if self.max_terms is not None and int(self.max_terms) < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
@@ -79,6 +88,15 @@ def default_division_method(irq):
         f"carrier {irq.name!r} supports no division method")
 
 
+def _term_budget(irq, k, method):
+    if method.max_terms is not None:
+        return int(method.max_terms)
+    ratio = (irq.epsilon or 0.0) ** abs(k)
+    if not 0.0 < ratio < 1.0:
+        return _MIN_TERMS
+    return max(_MIN_TERMS, math.ceil(math.log(_STEP_RTOL) / math.log(ratio)))
+
+
 def _fixed_point(irq, k, b, a, method):
     # On a group carrier y *_k a = b reads y delta^k(y^-1 a) = b.  Putting
     # y = b m^-1 and c = b^-1 a turns it into m = delta^k(m c), a contraction
@@ -91,7 +109,7 @@ def _fixed_point(irq, k, b, a, method):
         k, b, a = -k, a, b
     c = g.mul(g.inv(b), a)
     m = g.power(k, c)
-    for _ in range(int(method.max_terms)):
+    for _ in range(_term_budget(irq, k, method)):
         nxt = g.power(k, g.mul(m, c))
         step = float(np.max(np.abs(nxt - m)))
         m = nxt

@@ -20,15 +20,17 @@ distributive carrier from the limits alone:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
-from .core import (AxiomReport, difference_k, inverse_k, sample_tuples,
-                   star_k, sum_k)
-from .errors import (DistributivityError, NonConvergenceError,
-                     UnsupportedCarrierError)
+from .core import (AxiomReport, _at_levels, _difference, _inverse,
+                   _level_cost_grows, _sum, sample_tuples)
+from .errors import (DistributivityError, EmergentAlgebraError,
+                     NonConvergenceError, UnsupportedCarrierError)
 
 __all__ = [
     "LimitConfig",
@@ -95,43 +97,123 @@ def _estimate_rate(trail, span=5):
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def limit(irq, value_at, cfg, what):
-    """Limit of ``value_at(k)`` as the level k grows.
+def _block_size(trail, done, window, tol):
+    """Levels to evaluate after level ``done``: up to the stop level the
+    last step ratio predicts, at most ``done`` of them."""
+    under = 0
+    for step in reversed(trail):
+        if not step <= tol:
+            break
+        under += 1
+    if under:
+        need = window - under
+    else:
+        ratio = (trail[-1] / trail[-2] if len(trail) > 1 and trail[-2] > 0.0
+                 else float("nan"))
+        if not 0.0 < ratio < 1.0:
+            # The trail is not shrinking yet: nothing to extrapolate.
+            return 1
+        need = math.ceil(math.log(tol / trail[-1]) / math.log(ratio)) + window - 1
+    return max(1, min(need, done))
 
-    Stops at the first level where the last ``cfg.cauchy_window`` steps
-    d(value_at(k - 1), value_at(k)) are all within ``cfg.tol``; ``what``
-    names the limit in error messages.
+
+def _cauchy_steps(irq, chain):
+    """Batch-max d(chain[i], chain[i + 1]) over consecutive stacked values."""
+    if len(chain) < 2:
+        return ()
+    # The spare axis keeps the levels out of the metric's matrix products,
+    # as in core._at_levels.
+    d = irq.metric(chain[:-1, None], chain[1:, None])
+    return np.max(np.reshape(d, (len(chain) - 1, -1)), axis=1)
+
+
+def _steps(irq, value_at, ks, prev):
+    """Yield (value_k, d(value_{k-1}, value_k)) for each level k in ``ks``;
+    ``prev`` is the value before the first of them, or None when ``ks``
+    starts at level 1, whose value is yielded with no step.
+
+    The block is evaluated in one ``value_at`` call and its steps in one
+    metric call.  A block that raises a library error is re-run one level
+    at a time, so the error comes from the level where a one-level loop
+    meets it, and only once every earlier level has been scanned.
+    """
+    try:
+        values = value_at(ks)
+        chain = values if prev is None else np.concatenate([prev[None], values])
+        steps = _cauchy_steps(irq, chain)
+    except EmergentAlgebraError:
+        if len(ks) == 1:
+            raise
+        for i in range(len(ks)):
+            for value, step in _steps(irq, value_at, ks[i:i + 1], prev):
+                yield value, step
+                prev = value
+        return
+    if prev is None:
+        yield values[0], None
+    for value, step in zip(chain[1:], steps):
+        yield value, float(step)
+
+
+def limit(irq, value_at, cfg, what):
+    """Limit of the level-k values ``value_at`` gives as k grows.
+
+    ``value_at(ks)`` takes a 1-D int array of consecutive levels and
+    returns their values stacked on a new leading axis.  The loop stops
+    at the first level k where the last ``cfg.cauchy_window`` steps
+    d(value_{k-1}, value_k) are all within ``cfg.tol``; ``what`` names the
+    limit in error messages.
+
+    Levels are requested in blocks.  The first is 1 .. window + 1; each
+    later one runs to the stop level the last step ratio predicts, but
+    never past twice the depth reached, and holds one level while the
+    trail is not shrinking or on carriers whose level cost grows with k.
+    The steps are then scanned level by level, so the value, stop level,
+    trail and errors are those of evaluating one level at a time.
 
     :returns: (value, :class:`ConvergenceReport`).
     :raises NonConvergenceError: when the trail bottoms out above the
         tolerance and grows again, or does not settle by ``cfg.max_k``.
     """
     cfg = cfg or LimitConfig()
-    window = int(cfg.cauchy_window)
-    prev = value_at(1)
+    window, max_k = int(cfg.cauchy_window), int(cfg.max_k)
+    one_level = _level_cost_grows(irq)
     trail = []
     floor = float("inf")
-    for k in range(2, int(cfg.max_k) + 1):
-        cur = value_at(k)
-        step = float(np.max(irq.metric(prev, cur)))
-        trail.append(step)
-        if len(trail) >= window and all(r <= cfg.tol for r in trail[-window:]):
-            report = ConvergenceReport(True, k, tuple(trail),
-                                       _estimate_rate(trail))
-            return cur, report
-        floor = min(floor, step)
-        # Rounding noise in deep-level iterates grows geometrically and can
-        # later saturate into a spuriously constant value; a Cauchy window
-        # would then close on that artifact.  A trail that bottoms out above
-        # tol and regrows a thousandfold is past its usable depth, so fail
-        # loudly with the achievable floor instead.
-        if floor > cfg.tol and step > 1e3 * floor:
-            raise NonConvergenceError(
-                f"{what} on {irq.name!r}: residual trail bottomed out near "
-                f"{floor:.3e} and is growing again; either no limit exists "
-                f"here or tol {cfg.tol:.1e} is below the carrier's numerical "
-                f"floor", trail)
-        prev = cur
+    prev = None
+    done = 0
+    while done < max_k:
+        if one_level:
+            size = 1
+        elif done == 0:
+            size = window + 1
+        else:
+            size = _block_size(trail, done, window, cfg.tol)
+        ks = np.arange(done + 1, min(done + size, max_k) + 1)
+        for value, step in _steps(irq, value_at, ks, prev):
+            prev = value
+            if step is None:
+                continue
+            trail.append(step)
+            if len(trail) >= window and all(r <= cfg.tol
+                                            for r in trail[-window:]):
+                report = ConvergenceReport(True, len(trail) + 1,
+                                           tuple(trail), _estimate_rate(trail))
+                return value.copy(), report
+            floor = min(floor, step)
+            # Rounding noise in deep-level iterates grows geometrically and
+            # can later saturate into a spuriously constant value; a Cauchy
+            # window would then close on that artifact.  A trail that
+            # bottoms out above tol and regrows a thousandfold is past its
+            # usable depth, so fail loudly with the achievable floor
+            # instead.
+            if floor > cfg.tol and step > 1e3 * floor:
+                raise NonConvergenceError(
+                    f"{what} on {irq.name!r}: residual trail bottomed out "
+                    f"near {floor:.3e} and is growing again; either no "
+                    f"limit exists here or tol {cfg.tol:.1e} is below the "
+                    f"carrier's numerical floor", trail)
+        done = int(ks[-1])
     raise NonConvergenceError(
         f"{what} on {irq.name!r} did not settle within max_k={cfg.max_k} "
         f"(last residual {trail[-1]:.3e}, tol {cfg.tol:.1e})", trail)
@@ -147,27 +229,28 @@ def _require_uniform(irq, what):
             f"{what} needs a uniform carrier; {irq.name!r} is not")
 
 
+def _emergent(irq, level, points, cfg, what):
+    _require_uniform(irq, what)
+    return limit(irq, lambda ks: _at_levels((irq,), partial(level, irq), ks,
+                                            *points), cfg, what)
+
+
 def emergent_difference(irq, x, u, v, cfg=None):
     """Limit of difference_k(x, u, v): the tangent difference v -_inf^x u.
 
     :returns: (value, :class:`ConvergenceReport`).
     """
-    _require_uniform(irq, "emergent_difference")
-    return limit(irq, lambda k: difference_k(irq, k, x, u, v), cfg,
-                 "emergent_difference")
+    return _emergent(irq, _difference, (x, u, v), cfg, "emergent_difference")
 
 
 def emergent_sum(irq, x, u, v, cfg=None):
     """Limit of sum_k(x, u, v): the tangent sum u +_inf^x v."""
-    _require_uniform(irq, "emergent_sum")
-    return limit(irq, lambda k: sum_k(irq, k, x, u, v), cfg, "emergent_sum")
+    return _emergent(irq, _sum, (x, u, v), cfg, "emergent_sum")
 
 
 def emergent_inverse(irq, x, u, cfg=None):
     """Limit of inverse_k(x, u): the tangent inverse -_inf^x u."""
-    _require_uniform(irq, "emergent_inverse")
-    return limit(irq, lambda k: inverse_k(irq, k, x, u), cfg,
-                 "emergent_inverse")
+    return _emergent(irq, _inverse, (x, u), cfg, "emergent_inverse")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -191,6 +192,11 @@ def test_criterion_7_derivatives():
              f"{morphism.max_residual:.3e}")
 
 
+# The package sources, for child processes: pytest puts them on its own
+# path only (pyproject's ``pythonpath``), not on the environment's.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def test_criterion_8_determinism(tmp_path):
     jobs = [
         (["--carrier", "heisenberg", "--experiment", "converge",
@@ -206,6 +212,8 @@ def test_criterion_8_determinism(tmp_path):
         for run in ("a", "b"):
             out = tmp_path / f"job{i}{run}.report"
             env = dict(os.environ, **extra_env)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
             proc = subprocess.run(
                 [sys.executable, "-m", "emergent_irq.cli", "run",
                  *argv, "--out", str(out)],

@@ -21,7 +21,7 @@ from emergent_irq.limits import LimitConfig, emergent_inverse, emergent_sum
 
 def test_division_method_validation():
     m = DivisionMethod("fixed_point")
-    assert m.max_terms == 200 and m.tol == 1e-10
+    assert m.max_terms is None and m.tol == 1e-10
     with pytest.raises(UnsupportedCarrierError):
         DivisionMethod("newton")
     with pytest.raises(ValueError):
@@ -170,6 +170,21 @@ def test_division_post_condition_failure():
     with pytest.raises(NonConvergenceError, match="division residual"):
         right_divide_k(heis, 1, b, a,
                        DivisionMethod("fixed_point", max_terms=1, tol=1e-12))
+
+
+@pytest.mark.parametrize("irq", [make_heisenberg(0.9), make_engel(0.9),
+                                 make_perturbed_plane(0.8, 0.15)],
+                         ids=["heisenberg", "engel", "perturbed"])
+def test_division_budget_grows_with_the_contraction_ratio(irq):
+    # At k = +-1 the fixed point contracts by 0.9 (0.95 on this perturbed
+    # plane); 200 iterations leave residuals of 2e-9 to 8e-7 there.  The
+    # default budget runs until a unit step would shrink to 4 ulps.
+    pts = irq.sample(0, 40, 2.0)
+    b, a = pts[:20], pts[20:]
+    for k in (-1, 1):
+        right_divide_k(irq, k, b, a)
+        for i in range(0, 20, 4):
+            right_divide_k(irq, k, b[i], a[i])
 
 
 def test_fixed_point_needs_uniform_group_carrier():

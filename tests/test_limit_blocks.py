@@ -1,0 +1,256 @@
+"""The block-evaluated limit engine against a one-level-at-a-time loop.
+
+``limits.limit`` evaluates a limit's levels in stacked blocks and scans
+their Cauchy steps level by level.  Every result must be the one the plain
+loop below gives, evaluating one level per iteration through the public
+level operations: the same value bytes, stop level, trail and rate, or the
+same error with the same message and trail.
+"""
+
+import dataclasses
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emergent_irq import calculus, core, limits
+from emergent_irq.calculus import MapBetweenCarriers, derivative
+from emergent_irq.carriers import (GradedLieAlgebra, make_carnot, make_engel,
+                                   make_euclidean, make_heisenberg,
+                                   make_hyperbolic, make_perturbed_plane)
+from emergent_irq.core import back_k, difference_k, inverse_k, star_k, sum_k
+from emergent_irq.errors import EmergentAlgebraError, NonConvergenceError
+from emergent_irq.limits import (ConvergenceReport, LimitConfig,
+                                 emergent_difference, emergent_inverse,
+                                 emergent_sum)
+
+
+def _one_level_limit(irq, value_at, cfg, what):
+    # The limit loop as it reads with one level per iteration.
+    window = cfg.cauchy_window
+    prev = value_at(1)
+    trail = []
+    floor = math.inf
+    for k in range(2, cfg.max_k + 1):
+        cur = value_at(k)
+        step = float(np.max(irq.metric(prev, cur)))
+        trail.append(step)
+        if len(trail) >= window and all(r <= cfg.tol for r in trail[-window:]):
+            return cur, ConvergenceReport(True, k, tuple(trail),
+                                          limits._estimate_rate(trail))
+        floor = min(floor, step)
+        if floor > cfg.tol and step > 1e3 * floor:
+            raise NonConvergenceError(
+                f"{what} on {irq.name!r}: residual trail bottomed out "
+                f"near {floor:.3e} and is growing again; either no "
+                f"limit exists here or tol {cfg.tol:.1e} is below the "
+                f"carrier's numerical floor", trail)
+        prev = cur
+    raise NonConvergenceError(
+        f"{what} on {irq.name!r} did not settle within max_k={cfg.max_k} "
+        f"(last residual {trail[-1]:.3e}, tol {cfg.tol:.1e})", trail)
+
+
+def _reference(irq, name, points, cfg, fn=None):
+    x, u, v = points
+    if name == "derivative":
+        fx = fn(x)
+        return _one_level_limit(
+            irq, lambda k: back_k(irq, k, fx, fn(star_k(irq, k, x, u))), cfg,
+            f"derivative of {fn.__name__!r}")
+    level = {"emergent_sum": lambda k: sum_k(irq, k, x, u, v),
+             "emergent_difference": lambda k: difference_k(irq, k, x, u, v),
+             "emergent_inverse": lambda k: inverse_k(irq, k, x, u)}[name]
+    return _one_level_limit(irq, level, cfg, name)
+
+
+def _stacked(irq, name, points, cfg, fn=None):
+    x, u, v = points
+    if name == "derivative":
+        return derivative(MapBetweenCarriers(irq, irq, fn, name=fn.__name__),
+                          x, u, cfg)
+    if name == "emergent_inverse":
+        return emergent_inverse(irq, x, u, cfg)
+    op = {"emergent_sum": emergent_sum,
+          "emergent_difference": emergent_difference}[name]
+    return op(irq, x, u, v, cfg)
+
+
+def _outcome(call):
+    try:
+        value, rep = call()
+    except EmergentAlgebraError as err:
+        return ("error", type(err).__name__, str(err),
+                tuple(getattr(err, "trail", ())))
+    value = np.asarray(value)
+    return (value.shape, value.tobytes(), rep.converged, rep.stop_k,
+            rep.residual_trail, repr(rep.estimated_rate))
+
+
+def _assert_same(irq, name, points, cfg, fn=None):
+    want = _outcome(lambda: _reference(irq, name, points, cfg, fn))
+    got = _outcome(lambda: _stacked(irq, name, points, cfg, fn))
+    assert got == want, (irq.name, name)
+    return got
+
+
+def _filiform4():
+    return make_carnot(GradedLieAlgebra.from_brackets(
+        (2, 1, 1, 1), [(0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (0, 3, {4: 1.0})]),
+        0.5)
+
+
+def _general_step2():
+    # Brackets with several terms and non-unit coefficients: unlike the
+    # bundled algebras, each bracket coordinate is a sum whose rounding
+    # depends on the order a matrix product adds its terms in.
+    return make_carnot(GradedLieAlgebra.from_brackets((3, 2), [
+        (0, 1, {3: 0.3, 4: 1.7}), (0, 2, {3: -0.9, 4: 0.4}),
+        (1, 2, {3: 1.1, 4: 0.6})]), 0.5, name="step2-general")
+
+
+# Every bundled uniform carrier and one more Carnot algebra: (carrier,
+# radius, limit tolerance).  The perturbed plane's trails bottom out near
+# 1e-9.
+UNIFORM = (
+    (make_euclidean(3, 0.5), 2.0, 1e-10),
+    (make_heisenberg(0.5), 2.0, 1e-10),
+    (make_engel(0.5), 2.0, 1e-10),
+    (_filiform4(), 2.0, 1e-10),
+    (_general_step2(), 2.0, 1e-10),
+    (make_hyperbolic(0.5), 0.5, 1e-6),
+    (make_perturbed_plane(0.5, 0.1), 2.0, 1e-8),
+)
+OPS = ("emergent_sum", "emergent_difference", "emergent_inverse")
+
+
+def _maps(irq):
+    # The identity and delta; on the hyperbolic plane, which has no group,
+    # the contraction at the base point stands in for delta.
+    def identity(p):
+        return p
+
+    def contraction(p):
+        return irq.star(irq.base, p)
+
+    return identity, irq.group.delta if irq.group is not None else contraction
+
+
+@pytest.mark.parametrize("irq,radius,tol", UNIFORM,
+                         ids=[irq.name for irq, _, _ in UNIFORM])
+@pytest.mark.parametrize("batch", [None, 6], ids=["point", "batch"])
+def test_stacked_limits_match_one_level_loop(irq, radius, tol, batch):
+    cfg = LimitConfig(tol=tol)
+    for seed in range(2):
+        if batch is None:
+            points = tuple(irq.sample(seed, 3, radius))
+        else:
+            pts = irq.sample(seed, 3 * batch, radius)
+            points = (pts[:batch], pts[batch:2 * batch], pts[2 * batch:])
+        for name in OPS:
+            _assert_same(irq, name, points, cfg)
+        for fn in _maps(irq):
+            _assert_same(irq, "derivative", points, cfg, fn)
+
+
+def test_derivative_at_one_basepoint_of_a_batch():
+    # The CLI's shape: one basepoint, a batch of directions.
+    heis = make_heisenberg(0.5)
+    u = heis.sample(4, 5, 2.0)
+    got = _assert_same(heis, "derivative", (heis.base, u, None),
+                       LimitConfig(tol=1e-10), heis.group.delta)
+    assert got[0] == u.shape
+
+
+def test_carrier_without_level_hooks_matches():
+    # Without level_star every level iterates star or back |k| times, one
+    # level per block.
+    eu = dataclasses.replace(make_euclidean(2, 0.5), level_star=None,
+                             level_difference=None, level_sum=None,
+                             level_inverse=None)
+    points = tuple(eu.sample(1, 3, 1.0))
+    for name in OPS:
+        _assert_same(eu, name, points, LimitConfig(tol=1e-9))
+
+
+def test_error_paths_match():
+    # At radius 2 and the default tolerance these hyperbolic limits fail:
+    # the trails bottom out, or a level leaves the half-plane first.  At
+    # seeds 0 and 2 the difference's blocks reach levels that leave the
+    # half-plane past the level where the trail fails, so they are re-run
+    # one level at a time.
+    hyp = make_hyperbolic(0.5)
+    errors = set()
+    for seed in range(3):
+        points = tuple(hyp.sample(seed, 3, 2.0))
+        for name in ("emergent_sum", "emergent_difference"):
+            got = _assert_same(hyp, name, points, LimitConfig())
+            assert got[0] == "error"
+            errors.add(got[1])
+    assert errors == {"NonConvergenceError", "InvalidPointError"}
+
+    heis = make_heisenberg(0.5)
+    points = tuple(heis.sample(0, 3, 2.0))
+    got = _assert_same(heis, "emergent_inverse", points,
+                       LimitConfig(tol=1e-11, max_k=6))
+    assert got[0] == "error" and "max_k=6" in got[2]
+
+
+@pytest.fixture
+def levels_requested(monkeypatch):
+    # Counts the levels every limit asks the level evaluator for.
+    count = [0]
+
+    def counting(irqs, level, ks, *points):
+        count[0] += len(ks)
+        return core._at_levels(irqs, level, ks, *points)
+
+    monkeypatch.setattr(limits, "_at_levels", counting)
+    monkeypatch.setattr(calculus, "_at_levels", counting)
+    return count
+
+
+@pytest.mark.parametrize("irq,radius,tol", UNIFORM[:-1],
+                         ids=[irq.name for irq, _, _ in UNIFORM[:-1]])
+def test_blocks_evaluate_at_most_twice_the_stop_level(irq, radius, tol,
+                                                      levels_requested):
+    cfg = LimitConfig(tol=tol)
+    for seed in range(3):
+        x, u, v = irq.sample(seed, 3, radius)
+        for name, call in (
+                ("sum", lambda: emergent_sum(irq, x, u, v, cfg)),
+                ("inverse", lambda: emergent_inverse(irq, x, u, cfg)),
+                ("derivative", lambda: derivative(
+                    MapBetweenCarriers(irq, irq, _maps(irq)[0]), x, u, cfg))):
+            levels_requested[0] = 0
+            _, rep = call()
+            assert levels_requested[0] <= 2 * rep.stop_k, (name, seed)
+
+
+@pytest.mark.parametrize("irq,radius", [(make_euclidean(2, 0.7), 2.0),
+                                       (make_hyperbolic(0.7), 0.5)],
+                         ids=["euclidean", "hyperbolic"])
+def test_powers_round_alike_at_every_block_size(irq, radius):
+    # Away from eps = 0.5, eps^k as a scalar power, a one-level block and a
+    # longer block can round differently; level k must not depend on which.
+    for seed in range(3):
+        points = tuple(irq.sample(seed, 3, radius))
+        for name in OPS:
+            _assert_same(irq, name, points, LimitConfig(tol=1e-9))
+        x, u, _ = points
+        for k in (-1, 1, 2, 3):
+            one_level = core._at_levels((irq,), partial(core._star, irq),
+                                        np.array([k]), x, u)
+            assert np.array_equal(one_level[0], star_k(irq, k, x, u))
+
+
+@settings(max_examples=20, deadline=None)
+@given(eps=st.floats(0.05, 0.95), seed=st.integers(0, 2**16))
+def test_heisenberg_any_epsilon_matches(eps, seed):
+    heis = make_heisenberg(eps)
+    points = tuple(heis.sample(seed, 3, 2.0))
+    for name in ("emergent_sum", "emergent_inverse"):
+        _assert_same(heis, name, points, LimitConfig(tol=1e-9))
