@@ -39,6 +39,13 @@ class GroupOps:
     which must also take m as an int array of levels that broadcasts
     against g, as the limits pass a block of levels.  ``is_morphism``
     declares delta(gh) = delta(g)delta(h).
+
+    Without ``delta_power``, :meth:`power` iterates delta or ``delta_inv``,
+    and runs a block of levels as one chain of max|m| steps with the levels
+    on g's leading axis.  An elementwise map treats each level there as a
+    one-level call does; an inverse that judges convergence over its whole
+    input declares ``stacked_delta_inv`` and then receives ``stacked=True``
+    with a block, asking it to judge each leading slice on its own.
     """
 
     mul: Callable[..., Any]
@@ -48,19 +55,31 @@ class GroupOps:
     delta_inv: Callable[..., Any] | None = None
     delta_power: Callable[..., Any] | None = None
     is_morphism: bool = False
+    stacked_delta_inv: bool = False
 
     def power(self, m, g):
         if self.delta_power is not None:
             return self.delta_power(m, g)
-        if m >= 0:
-            fn, times = self.delta, m
-        else:
-            fn, times = self.delta_inv, -m
+        block = isinstance(m, np.ndarray)
+        sign = m.flat[0] if block else m
+        fn = self.delta if sign >= 0 else self.delta_inv
         if fn is None:
             raise UnsupportedCarrierError("carrier has no delta in that direction")
-        out = g
-        for _ in range(times):
-            out = fn(out)
+        if not block:
+            out = g
+            for _ in range(abs(m)):
+                out = fn(out)
+            return out
+        # A block of consecutive same-sign levels, sorted by |m|, on the
+        # leading axis: step j of one chain of max|m| steps applies fn to
+        # the levels with |m| >= j, a suffix of the block.
+        kwargs = {"stacked": True} if sign < 0 and self.stacked_delta_inv else {}
+        steps = np.abs(m.ravel())
+        shape = np.broadcast_shapes(np.shape(m), np.shape(g))
+        out = np.array(fn(np.broadcast_to(g, shape), **kwargs))
+        for j in range(2, int(steps[-1]) + 1):
+            first = int(np.searchsorted(steps, j))
+            out[first:] = fn(out[first:], **kwargs)
         return out
 
 
@@ -72,7 +91,7 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
                    sample=None, contractive=False, epsilon=None,
                    is_morphism=False, delta_power=None, layer_dims=None,
                    divide=None, point_reflection=None,
-                   reflection_isometry=False):
+                   reflection_isometry=False, stacked_delta_inverse=False):
     r"""Build the irq ``x * u = x delta(x^-1 u)`` over a coordinate group.
 
     :param group: :class:`GroupOps` without delta (any delta fields ignored).
@@ -82,6 +101,8 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
     :param sample: seeded ball sampler; defaults to a Euclidean ball
         around the neutral element.
     :param contractive: declares the carrier uniform.
+    :param stacked_delta_inverse: ``delta_inverse`` takes ``stacked=True``
+        (see :class:`GroupOps`).
     :raises CarrierConstructionError: if delta moves the neutral element.
     """
     neutral = np.asarray(group.neutral, dtype=float)
@@ -92,7 +113,8 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
 
     ops = GroupOps(group.mul, group.inv, neutral, delta=delta,
                    delta_inv=delta_inverse, delta_power=delta_power,
-                   is_morphism=is_morphism)
+                   is_morphism=is_morphism,
+                   stacked_delta_inv=stacked_delta_inverse)
 
     def star(x, u):
         return ops.mul(x, delta(_conjugate(ops, x, u)))
@@ -190,19 +212,42 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
         p = np.asarray(p, dtype=float)
         return epsilon * p + eta * np.sin(p[..., ::-1])
 
-    def delta_inverse(q):
+    def newton_step(x, r):
+        c = np.cos(x)
+        det = eps2 - eta2 * c[..., 0] * c[..., 1]
+        return (epsilon * r - eta * (c * r)[..., ::-1]) / det[..., None]
+
+    def backtrack(x, q, r, step, new, r_new, limit):
+        # Armijo backtracking: halve the step on the rows whose squared
+        # residual it does not cut by the factor 1 - t/2, until the halved
+        # step is negligible against ``limit``, which broadcasts against
+        # the rows.
+        sq = (r * r).sum(axis=-1)
+        rows = np.abs(step).max(axis=-1)
+        t = np.ones(sq.shape)
+        while True:
+            worse = (((r_new * r_new).sum(axis=-1) > (1 - t / 2) * sq)
+                     & (t * rows > limit))
+            if not worse.any():
+                return new, r_new
+            t = np.where(worse, t / 2, t)
+            new = x - t[..., None] * step
+            r_new = delta(new) - q
+
+    def delta_inverse(q, stacked=False):
         q = np.asarray(q, dtype=float)
         finite = np.isfinite(q).all(axis=-1, keepdims=True)
         if not finite.all():
             # A row with a non-finite coordinate has no preimage.
-            return np.where(finite, delta_inverse(np.where(finite, q, 0.0)),
+            return np.where(finite,
+                            delta_inverse(np.where(finite, q, 0.0), stacked),
                             np.nan)
+        if stacked:
+            return solve_levels(q)
         x = q / epsilon
         r = delta(x) - q
         for _ in range(50):
-            c = np.cos(x)
-            det = eps2 - eta2 * c[..., 0] * c[..., 1]
-            step = (epsilon * r - eta * (c * r)[..., ::-1]) / det[..., None]
+            step = newton_step(x, r)
             size = np.abs(step).max()
             # The stop must be relative to the scale: iterated delta^-k
             # chains feed tiny intermediate values through here, and an
@@ -214,28 +259,50 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
                 return new
             r_new = delta(new) - q
             if size > full_step:
-                # Armijo backtracking: halve the step on the rows whose
-                # squared residual it does not cut by the factor 1 - t/2,
-                # until the halved step is negligible.
-                sq = (r * r).sum(axis=-1)
-                rows = np.abs(step).max(axis=-1)
-                t = np.ones(sq.shape)
-                while True:
-                    worse = (((r_new * r_new).sum(axis=-1) > (1 - t / 2) * sq)
-                             & (t * rows > limit))
-                    if not worse.any():
-                        break
-                    t = np.where(worse, t / 2, t)
-                    new = x - t[..., None] * step
-                    r_new = delta(new) - q
+                new, r_new = backtrack(x, q, r, step, new, r_new, limit)
             x, r = new, r_new
         raise NonConvergenceError(
             f"inverse dilation on {name!r}: Newton step {size:.3e} above "
             f"{limit:.3e} after 50 iterations")
+
+    def solve_levels(q):
+        # The iteration above on a block, q's leading axis holding one
+        # level each: the stop rule, the full-step gate and the backtracking
+        # floor are judged per level, and a level leaves the iteration once
+        # it has converged, so each comes out as its one-level call would.
+        out = np.empty_like(q)
+        todo = np.arange(len(q))
+        axes = tuple(range(1, q.ndim))
+        x = q / epsilon
+        r = delta(x) - q
+        for _ in range(50):
+            step = newton_step(x, r)
+            size = np.abs(step).max(axis=axes)
+            limit = step_tol * np.abs(x).max(axis=axes)
+            new = x - step
+            done = size <= limit
+            if done.any():
+                out[todo[done]] = new[done]
+                if done.all():
+                    return out
+                todo, q, x, r, step, new, size, limit = (
+                    a[~done] for a in (todo, q, x, r, step, new, size, limit))
+            r_new = delta(new) - q
+            big = size > full_step
+            if big.any():
+                floor = np.where(big, limit, np.inf)
+                new, r_new = backtrack(
+                    x, q, r, step, new, r_new,
+                    floor.reshape(floor.shape + (1,) * (q.ndim - 2)))
+            x, r = new, r_new
+        raise NonConvergenceError(
+            f"inverse dilation on {name!r}: Newton step {size[0]:.3e} above "
+            f"{limit[0]:.3e} after 50 iterations")
 
     group = GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
                      inv=lambda a: -np.asarray(a, dtype=float),
                      neutral=np.zeros(2))
     return make_group_irq(group, delta, delta_inverse, name=name, dim=2,
                           contractive=True, epsilon=epsilon + eta,
-                          is_morphism=False, layer_dims=(2,))
+                          is_morphism=False, layer_dims=(2,),
+                          stacked_delta_inverse=True)

@@ -116,11 +116,13 @@ class Irq:
         sets it even without a closed-form ``delta_power``; a level then
         costs |k| dilation steps.
 
-    On a uniform carrier with ``level_star`` (and, on a group carrier, a
-    ``delta_power``), the limits hand the four level hooks a block of
-    levels at once: k is then an int array shaped to broadcast against the
-    points, with the levels on its leading axis, and the hook returns the
-    values stacked along it.
+    On a uniform carrier with ``level_star``, the limits hand the four
+    level hooks a block of levels at once: k is then an int array shaped to
+    broadcast against the points, with the levels on its leading axis, and
+    the hook returns the values stacked along it.  A group carrier without
+    a closed-form ``delta_power`` (the perturbed plane) evaluates the block
+    as one chain of max|k| dilation steps, the deeper levels carried along
+    while the shallower ones stop.
     """
 
     name: str
@@ -235,13 +237,6 @@ def _level_power(eps, k):
     return (np.float64(eps) ** k.ravel()).reshape(k.shape)
 
 
-def _level_cost_grows(irq):
-    """Whether a level costs more the deeper it lies: the carrier iterates
-    its star, or its group iterates the dilation."""
-    return irq.level_star is None or (irq.group is not None
-                                      and irq.group.delta_power is None)
-
-
 def _at_levels(irqs, level, ks, *points):
     """``level(k, *points)`` at each level of the 1-D int array ``ks`` of
     consecutive levels, stacked on a new leading axis.
@@ -252,12 +247,13 @@ def _at_levels(irqs, level, ks, *points):
     the level axis apart from the points' own axes: a matrix product in a
     carrier (the Carnot bracket) then multiplies the same rows at every
     level as a one-level call does, and BLAS sums them in the same order.
-    Where a level's cost grows with k, each level is evaluated on its own
-    at an int k, as ``star_k`` and its kin evaluate it.
+    A carrier without ``level_star`` iterates its own star and back, which
+    may judge convergence over their whole input; there each level is
+    evaluated on its own at an int k, as ``star_k`` and its kin evaluate it.
     """
     _require_level(int(ks[0]))
     _require_level(int(ks[-1]))
-    if any(_level_cost_grows(irq) for irq in irqs):
+    if any(irq.level_star is None for irq in irqs):
         return np.stack([level(int(k), *points) for k in ks])
     ndim = max(np.ndim(p) for p in points)
     out = level(np.reshape(ks, (-1,) + (1,) * (ndim + 1)), *points)

@@ -27,10 +27,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import (AxiomReport, _at_levels, _difference, _inverse,
-                   _level_cost_grows, _sum, sample_tuples)
+from .core import (AxiomReport, _at_levels, _difference, _inverse, _sum,
+                   sample_tuples)
 from .errors import (DistributivityError, EmergentAlgebraError,
-                     NonConvergenceError, UnsupportedCarrierError)
+                     InvalidPointError, NonConvergenceError,
+                     UnsupportedCarrierError)
 
 __all__ = [
     "LimitConfig",
@@ -127,7 +128,7 @@ def _cauchy_steps(irq, chain):
     return np.max(np.reshape(d, (len(chain) - 1, -1)), axis=1)
 
 
-def _steps(irq, value_at, ks, prev):
+def _steps(irq, value_at, ks, prev, what):
     """Yield (value_k, d(value_{k-1}, value_k)) for each level k in ``ks``;
     ``prev`` is the value before the first of them, or None when ``ks``
     starts at level 1, whose value is yielded with no step.
@@ -135,20 +136,26 @@ def _steps(irq, value_at, ks, prev):
     The block is evaluated in one ``value_at`` call and its steps in one
     metric call.  A block that raises a library error is re-run one level
     at a time, so the error comes from the level where a one-level loop
-    meets it, and only once every earlier level has been scanned.
+    meets it, and only once every earlier level has been scanned.  A level
+    that leaves the carrier raises :class:`InvalidPointError` naming the
+    limit ``what``, the carrier and the level.
     """
     try:
         values = value_at(ks)
         chain = values if prev is None else np.concatenate([prev[None], values])
         steps = _cauchy_steps(irq, chain)
-    except EmergentAlgebraError:
-        if len(ks) == 1:
-            raise
-        for i in range(len(ks)):
-            for value, step in _steps(irq, value_at, ks[i:i + 1], prev):
-                yield value, step
-                prev = value
-        return
+    except EmergentAlgebraError as err:
+        if len(ks) > 1:
+            for i in range(len(ks)):
+                for value, step in _steps(irq, value_at, ks[i:i + 1], prev,
+                                          what):
+                    yield value, step
+                    prev = value
+            return
+        if isinstance(err, InvalidPointError):
+            raise InvalidPointError(
+                f"{what} on {irq.name!r} at level {ks[0]}: {err}") from err
+        raise
     if prev is None:
         yield values[0], None
     for value, step in zip(chain[1:], steps):
@@ -167,17 +174,22 @@ def limit(irq, value_at, cfg, what):
     Levels are requested in blocks.  The first is 1 .. window + 1; each
     later one runs to the stop level the last step ratio predicts, but
     never past twice the depth reached, and holds one level while the
-    trail is not shrinking or on carriers whose level cost grows with k.
-    The steps are then scanned level by level, so the value, stop level,
-    trail and errors are those of evaluating one level at a time.
+    trail is not shrinking or on carriers without ``level_star``, whose
+    own star and back may judge convergence over the whole block.  A group
+    carrier without a closed-form dilation power (the perturbed plane)
+    runs each block as one chain of dilation steps.  The steps are then
+    scanned level by level, so the value, stop level, trail and errors are
+    those of evaluating one level at a time.
 
     :returns: (value, :class:`ConvergenceReport`).
     :raises NonConvergenceError: when the trail bottoms out above the
         tolerance and grows again, or does not settle by ``cfg.max_k``.
+    :raises InvalidPointError: when a level's value leaves the carrier;
+        the message names the limit, the carrier and the level.
     """
     cfg = cfg or LimitConfig()
     window, max_k = int(cfg.cauchy_window), int(cfg.max_k)
-    one_level = _level_cost_grows(irq)
+    one_level = irq.level_star is None
     trail = []
     floor = float("inf")
     prev = None
@@ -190,7 +202,7 @@ def limit(irq, value_at, cfg, what):
         else:
             size = _block_size(trail, done, window, cfg.tol)
         ks = np.arange(done + 1, min(done + size, max_k) + 1)
-        for value, step in _steps(irq, value_at, ks, prev):
+        for value, step in _steps(irq, value_at, ks, prev, what):
             prev = value
             if step is None:
                 continue

@@ -437,6 +437,45 @@ def test_perturbed_delta_inverse_solves_delta(eps, ratio, log_scale, rows,
                                atol=1e-12 * scale)
 
 
+@settings(deadline=None, max_examples=100)
+@given(eps=st.floats(0.05, 0.95), ratio=st.floats(1e-3, 0.98),
+       log_scale=st.floats(-6, 1), lowest=st.integers(1, 5),
+       count=st.integers(1, 6), sign=st.sampled_from([1, -1]),
+       rows=st.sampled_from([None, 1, 7, 40]), nan_row=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+# Rows near unit size with eta close to eps: inverting the block of
+# distinct per-level points, some levels' first Newton steps exceed the
+# full-step bound and backtrack while others do not, and the levels stop
+# at different iterations.
+@example(eps=0.5, ratio=0.98, log_scale=0.3, lowest=1, count=6, sign=1,
+         rows=40, nan_row=True, seed=7)
+def test_perturbed_power_block_matches_each_level(eps, ratio, log_scale,
+                                                  lowest, count, sign, rows,
+                                                  nan_row, seed):
+    # A block of consecutive levels runs as one chain whose Newton inverse
+    # judges each level on its own: every level must come out byte for byte
+    # as its one-level power, also when the input already carries the
+    # levels (a second power on the block, as the stable level forms do).
+    eta = ratio * min(eps, 1.0 - eps)
+    ops = make_perturbed_plane(eps, eta).group
+    shape = (2,) if rows is None else (rows, 2)
+    g = np.random.default_rng(seed).uniform(-1, 1, shape) * 10.0 ** log_scale
+    if nan_row and rows is not None:
+        g[-1, 0] = np.nan
+    ks = sign * np.arange(lowest, lowest + count)
+    m = ks.reshape((-1, 1) + (1,) * g.ndim)
+    block = ops.power(m, g)
+    back = ops.power(-m, block)
+    for i, k in enumerate(ks):
+        one = ops.power(int(k), g)
+        assert block[i, 0].tobytes() == one.tobytes()
+        assert back[i, 0].tobytes() == ops.power(-int(k), one).tobytes()
+    if nan_row and rows is not None:
+        # The non-finite row stays NaN; the others are finite.
+        assert np.isnan(block[:, 0, -1]).all()
+        assert np.isfinite(block[:, 0, :-1]).all()
+
+
 def test_perturbed_delta_inverse_non_finite():
     ops = make_perturbed_plane(0.5, 0.1).group
     q = np.array([[np.nan, 1.0], [0.3, -0.2], [np.inf, 0.0]])

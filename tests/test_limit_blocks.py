@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 from emergent_irq import calculus, core, limits
 from emergent_irq.calculus import MapBetweenCarriers, derivative
-from emergent_irq.carriers import (GradedLieAlgebra, make_carnot, make_engel,
-                                   make_euclidean, make_heisenberg,
-                                   make_hyperbolic, make_perturbed_plane)
+from emergent_irq.carriers import (GradedLieAlgebra, GroupOps, make_carnot,
+                                   make_engel, make_euclidean, make_group_irq,
+                                   make_heisenberg, make_hyperbolic,
+                                   make_perturbed_plane)
 from emergent_irq.core import back_k, difference_k, inverse_k, star_k, sum_k
-from emergent_irq.errors import EmergentAlgebraError, NonConvergenceError
+from emergent_irq.errors import (EmergentAlgebraError, InvalidPointError,
+                                 NonConvergenceError)
 from emergent_irq.limits import (ConvergenceReport, LimitConfig,
                                  emergent_difference, emergent_inverse,
                                  emergent_sum)
@@ -30,12 +32,19 @@ from emergent_irq.limits import (ConvergenceReport, LimitConfig,
 
 def _one_level_limit(irq, value_at, cfg, what):
     # The limit loop as it reads with one level per iteration.
+    def at(k):
+        try:
+            return value_at(k)
+        except InvalidPointError as err:
+            raise InvalidPointError(
+                f"{what} on {irq.name!r} at level {k}: {err}") from err
+
     window = cfg.cauchy_window
-    prev = value_at(1)
+    prev = at(1)
     trail = []
     floor = math.inf
     for k in range(2, cfg.max_k + 1):
-        cur = value_at(k)
+        cur = at(k)
         step = float(np.max(irq.metric(prev, cur)))
         trail.append(step)
         if len(trail) >= window and all(r <= cfg.tol for r in trail[-window:]):
@@ -112,9 +121,21 @@ def _general_step2():
         (1, 2, {3: 1.1, 4: 0.6})]), 0.5, name="step2-general")
 
 
-# Every bundled uniform carrier and one more Carnot algebra: (carrier,
-# radius, limit tolerance).  The perturbed plane's trails bottom out near
-# 1e-9.
+def _iterated_plane():
+    # A group carrier without a closed-form power whose delta and inverse
+    # act elementwise: its blocks run as one chain of plain delta steps.
+    group = GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
+                     inv=lambda a: -np.asarray(a, dtype=float),
+                     neutral=np.zeros(2))
+    return make_group_irq(group, lambda g: 0.5 * np.asarray(g, dtype=float),
+                          lambda g: 2.0 * np.asarray(g, dtype=float),
+                          name="iterated", dim=2, contractive=True,
+                          epsilon=0.5, is_morphism=True)
+
+
+# Every bundled uniform carrier, one more Carnot algebra and one iterated
+# group carrier: (carrier, radius, limit tolerance).  The perturbed plane's
+# trails bottom out near 1e-9.
 UNIFORM = (
     (make_euclidean(3, 0.5), 2.0, 1e-10),
     (make_heisenberg(0.5), 2.0, 1e-10),
@@ -123,6 +144,7 @@ UNIFORM = (
     (_general_step2(), 2.0, 1e-10),
     (make_hyperbolic(0.5), 0.5, 1e-6),
     (make_perturbed_plane(0.5, 0.1), 2.0, 1e-8),
+    (_iterated_plane(), 2.0, 1e-10),
 )
 OPS = ("emergent_sum", "emergent_difference", "emergent_inverse")
 
@@ -190,6 +212,12 @@ def test_error_paths_match():
             got = _assert_same(hyp, name, points, LimitConfig())
             assert got[0] == "error"
             errors.add(got[1])
+            if got[1] == "InvalidPointError":
+                # The carrier's message, prefixed with the limit, the
+                # carrier and the level.
+                assert got[2].startswith(f"{name} on 'hyperbolic' at level ")
+                assert got[2].endswith(": point lies outside the upper "
+                                       "half-plane")
     assert errors == {"NonConvergenceError", "InvalidPointError"}
 
     heis = make_heisenberg(0.5)
@@ -197,6 +225,32 @@ def test_error_paths_match():
     got = _assert_same(heis, "emergent_inverse", points,
                        LimitConfig(tol=1e-11, max_k=6))
     assert got[0] == "error" and "max_k=6" in got[2]
+
+
+def test_newton_failure_inside_a_block_matches():
+    # delta^-k doubles a point near 1e306 until level 8 leaves the float
+    # range, where the perturbed plane's Newton inverse cannot converge.
+    # The first block (levels 1 .. window + 1) holds that level, so the
+    # stacked solve fails and the block is re-run one level at a time; the
+    # error is the one-level one, message and trail alike.
+    pert = make_perturbed_plane(0.5, 0.1)
+    u = np.array([[1e306, -3e305], [0.5, 0.2]])
+    cfg = LimitConfig(tol=1e-8, cauchy_window=10, max_k=30)
+    what = "expansion"
+
+    def stacked():
+        return limits.limit(pert, lambda ks: core._at_levels(
+            (pert,), partial(core._back, pert), ks, pert.base, u), cfg, what)
+
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: _one_level_limit(
+            pert, lambda k: back_k(pert, k, pert.base, u), cfg, what))
+        with pytest.raises(NonConvergenceError):
+            pert.group.power(np.arange(-1, -12, -1).reshape(-1, 1, 1, 1), u)
+        got = _outcome(stacked)
+    assert got == want
+    assert got[:2] == ("error", "NonConvergenceError")
+    assert got[2].startswith("inverse dilation on 'perturbed': Newton step")
 
 
 @pytest.fixture
@@ -213,8 +267,8 @@ def levels_requested(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("irq,radius,tol", UNIFORM[:-1],
-                         ids=[irq.name for irq, _, _ in UNIFORM[:-1]])
+@pytest.mark.parametrize("irq,radius,tol", UNIFORM,
+                         ids=[irq.name for irq, _, _ in UNIFORM])
 def test_blocks_evaluate_at_most_twice_the_stop_level(irq, radius, tol,
                                                       levels_requested):
     cfg = LimitConfig(tol=tol)
