@@ -242,22 +242,20 @@ def _at_levels(irqs, level, ks, *points):
     consecutive levels, stacked on a new leading axis.
 
     The carriers in ``irqs`` see the levels as one array shaped
-    (B, 1) + (1,) * ndim, one axis more than the points have, so their
-    level hooks broadcast the whole block at once.  The spare axis keeps
-    the level axis apart from the points' own axes: a matrix product in a
-    carrier (the Carnot bracket) then multiplies the same rows at every
-    level as a one-level call does, and BLAS sums them in the same order.
-    A carrier without ``level_star`` iterates its own star and back, which
-    may judge convergence over their whole input; there each level is
-    evaluated on its own at an int k, as ``star_k`` and its kin evaluate it.
+    (B,) + (1,) * ndim, one axis more than the points have, so their
+    level hooks broadcast the whole block at once.  The bundled hooks
+    treat each level on its own (the Carnot bracket works row by row), so
+    a level rounds as its one-level call does.  A carrier without
+    ``level_star`` iterates its own star and back, which may judge
+    convergence over their whole input; there each level is evaluated on
+    its own at an int k, as ``star_k`` and its kin evaluate it.
     """
     _require_level(int(ks[0]))
     _require_level(int(ks[-1]))
     if any(irq.level_star is None for irq in irqs):
         return np.stack([level(int(k), *points) for k in ks])
     ndim = max(np.ndim(p) for p in points)
-    out = level(np.reshape(ks, (-1,) + (1,) * (ndim + 1)), *points)
-    return out.reshape((len(ks),) + out.shape[2:])
+    return level(np.reshape(ks, (-1,) + (1,) * ndim), *points)
 
 
 @dataclass(frozen=True)

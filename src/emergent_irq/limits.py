@@ -122,9 +122,7 @@ def _cauchy_steps(irq, chain):
     """Batch-max d(chain[i], chain[i + 1]) over consecutive stacked values."""
     if len(chain) < 2:
         return ()
-    # The spare axis keeps the levels out of the metric's matrix products,
-    # as in core._at_levels.
-    d = irq.metric(chain[:-1, None], chain[1:, None])
+    d = irq.metric(chain[:-1], chain[1:])
     return np.max(np.reshape(d, (len(chain) - 1, -1)), axis=1)
 
 

@@ -1,8 +1,10 @@
 """Carrier constructors: closed forms, oracles, and validation."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
@@ -256,9 +258,198 @@ def test_bracket_matches_structure_constants(alg):
                         (batch, other, (b, n)), (one, one, (n,))):
         got = alg.bracket(x, y)
         assert got.shape == shape
-        # Each coordinate of these brackets sums two nonzero terms, so the
-        # summation order cannot change the rounding.
+        # Each output coordinate of these algebras has one pair (i, j) at
+        # unit coefficient, x_i y_j - x_j y_i: the pair form and the sum
+        # over every nonzero C both round the two products and their
+        # difference once each, so they agree bit for bit.
         assert np.array_equal(got, _bracket_by_definition(alg, x, y))
+    for x, y in ((np.ones(n + 1), one), (batch, batch[:, :-1])):
+        with pytest.raises(ValueError, match="dimension"):
+            alg.bracket(x, y)
+
+
+def _random_step2(seed, d1, d2, empty_last):
+    # Every antisymmetric V1 x V1 -> V2 bracket is a Lie bracket: all triple
+    # brackets land in V3 = 0, so Jacobi holds.  Coefficients mix 0, +-1
+    # and arbitrary values, so coordinates carry several terms, non-unit
+    # coefficients, or (the last one, when asked) no term at all.
+    rng = np.random.default_rng(seed)
+    n = d1 + d2
+    entries = []
+    for i in range(d1):
+        for j in range(i + 1, d1):
+            coeffs = {}
+            for k in range(d1, n - 1 if empty_last else n):
+                r = rng.random()
+                if r >= 0.25:
+                    coeffs[k] = (1.0 if r < 0.45 else -1.0 if r < 0.55
+                                 else float(rng.uniform(-2, 2)))
+            entries.append((i, j, coeffs))
+    return GradedLieAlgebra.from_brackets((d1, d2), entries)
+
+
+def _bracket_pair_by_pair(alg, x, y):
+    # Output coordinate k adds c (x_i y_j - x_j y_i) over its pairs i < j
+    # with c = C[i, j, k] != 0, in ascending order, starting from the first.
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    out = np.zeros(x.shape)
+    n = alg.dim
+    for k in range(n):
+        acc = None
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = alg.structure[i, j, k]
+                if c != 0:
+                    term = (x[..., i] * y[..., j] - x[..., j] * y[..., i]) * c
+                    acc = term if acc is None else acc + term
+        if acc is not None:
+            out[..., k] = acc
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), d1=st.integers(2, 4),
+       d2=st.integers(1, 3), empty_last=st.booleans())
+def test_bracket_rounds_pair_by_pair_in_any_batch(seed, d1, d2, empty_last):
+    alg = _random_step2(seed, d1, d2, empty_last)
+    rng = np.random.default_rng([seed, 1])
+    # Rows at scales from 1e-3 to 1e3; continuous draws make an exactly
+    # zero pair term, whose sign could differ, a null event.
+    x, y = (rng.uniform(-2, 2, (2, 300, alg.dim))
+            * 10.0 ** rng.uniform(-3, 3, (2, 300, 1)))
+    got = alg.bracket(x, y)
+    assert got.shape == (300, alg.dim)
+    assert got.tobytes() == _bracket_pair_by_pair(alg, x, y).tobytes()
+    # Batches of several sizes, single rows, and one row broadcast against
+    # a batch all round each row alike.
+    for b in (1, 8, 64, 65, 300):
+        assert alg.bracket(x[:b], y[:b]).tobytes() == got[:b].tobytes()
+    for r in (0, 63, 64, 299):
+        assert alg.bracket(x[r], y[r]).tobytes() == got[r].tobytes()
+    one = alg.bracket(x[0], y[:65])
+    for r in (0, 64):
+        assert one[r].tobytes() == alg.bracket(x[0], y[r]).tobytes()
+    _assert_near_dense(alg, x, y, got)
+
+
+def _assert_near_dense(alg, x, y, got):
+    # Against the dense sum over all (i, j).  On a coordinate with p pairs
+    # and S = sum |x_i y_j C_ijk|, the dense sum errs by at most
+    # (2p + 1) u S and the pair form by (p + 3) u S, with u = eps / 2 the
+    # unit roundoff; their gap of at most (3p + 4) u S is allowed twice.
+    c = alg.structure
+    dense = np.einsum("...i,...j,ijk->...k", x, y, c)
+    scale = np.einsum("...i,...j,ijk->...k", np.abs(x), np.abs(y), np.abs(c))
+    pairs = np.count_nonzero(c, axis=(0, 1)) // 2
+    bound = (3 * pairs + 4) * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - dense) <= bound)
+
+
+def test_bracket_reads_the_stored_antisymmetric_part():
+    # Constants antisymmetric only to within the construction tolerance:
+    # a [e1, e0] off by 2e-13, a diagonal [e0, e0] entry, and a [e2, e1]
+    # whose mirror [e1, e2] is exactly 0.  The algebra stores the
+    # antisymmetric part, and the bracket evaluates that stored structure.
+    c = engel_algebra().structure.copy()
+    c[1, 0, 2] += 2e-13
+    c[0, 0, 2] = 3e-13
+    c[2, 1, 3] = 5e-13
+    alg = GradedLieAlgebra((2, 1, 1), c)
+    assert np.array_equal(alg.structure, -alg.structure.transpose(1, 0, 2))
+    assert alg.structure[1, 2, 3] == -2.5e-13
+    x, y = np.random.default_rng(8).uniform(-2, 2, (2, 50, alg.dim))
+    _assert_near_dense(alg, x, y, alg.bracket(x, y))
+    # Exactly antisymmetric constants are stored bit for bit.
+    exact = engel_algebra()
+    assert np.array_equal(GradedLieAlgebra((2, 1, 1), exact.structure).structure,
+                          exact.structure)
+
+
+def test_bracket_single_layer_is_zero():
+    alg = GradedLieAlgebra((3,), np.zeros((3, 3, 3)))
+    x = np.array([1.0, np.nan, np.inf])
+    for a, b, shape in ((x, x, (3,)), (x, np.ones((5, 3)), (5, 3)),
+                        (np.ones((2, 1, 3)), np.ones((4, 3)), (2, 4, 3))):
+        got = alg.bracket(a, b)
+        assert got.shape == shape
+        assert np.array_equal(got, np.zeros(shape))
+
+
+def test_bracket_non_finite_reaches_only_its_pairs():
+    # Engel: coordinate 2 is [e0, e1], coordinate 3 is [e0, e2]; layer 1
+    # stays exactly 0.  (The dense form spread a NaN to every coordinate
+    # through NaN * 0.)
+    alg = engel_algebra()
+    y = np.array([0.5, -1.5, 2.0, 0.25])
+    for bad, reach in ((2, [3]), (1, [2]), (0, [2, 3]), (3, [])):
+        for value in (np.nan, np.inf):
+            x = np.array([1.0, 2.0, -0.5, 3.0])
+            x[bad] = value
+            got = alg.bracket(x, y)
+            assert np.flatnonzero(~np.isfinite(got)).tolist() == reach
+            assert np.array_equal(got[:2], [0.0, 0.0])
+    # A coordinate with fewer pairs than the widest is padded with the
+    # pair (0, 0), which reads e0: here coordinate 4 has one pair, (1, 2),
+    # and a NaN at e0 reaches it through the padding.
+    alg = GradedLieAlgebra.from_brackets(
+        (3, 2), [(0, 1, {3: 1.0}), (0, 2, {3: 2.0}), (1, 2, {4: 1.0})])
+    x = np.array([np.nan, 1.0, 2.0, 0.0, 0.0])
+    assert np.isnan(alg.bracket(x, np.ones(5))[3:]).all()
+    # Coordinate 3 is (1 - 2) + 2 (1 - 3), coordinate 4 is (2 - 3) + 0;
+    # the layer-2 entries of x are read by no pair.
+    assert np.array_equal(
+        alg.bracket(np.array([1.0, 2.0, 3.0, np.nan, np.inf]), np.ones(5)),
+        [0.0, 0.0, 0.0, -5.0, -1.0])
+
+
+def _spec(layers, entries):
+    return {"layers": list(layers),
+            "brackets": [{"i": i, "j": j,
+                          "coeffs": {str(k): v for k, v in coeffs.items()}}
+                         for i, j, coeffs in entries]}
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), d1=st.integers(2, 4),
+       d2=st.integers(1, 3), kind=st.sampled_from(["low", "high", "jacobi"]))
+def test_make_carnot_rejects_broken_algebras(seed, d1, d2, kind):
+    rng = np.random.default_rng(seed)
+    n = d1 + d2
+    base = _random_step2(seed, d1, d2, False)
+    entries = [(i, j, {k: float(base.structure[i, j, k])
+                       for k in range(n) if base.structure[i, j, k] != 0})
+               for i in range(d1) for j in range(i + 1, d1)]
+    if kind == "low":
+        # [V1, V1] reaching back into V1.
+        entries[0][2][int(rng.integers(d1))] = float(rng.uniform(0.5, 2))
+        layers, match = (d1, d2), "grading"
+    elif kind == "high":
+        # [V1, V2] nonzero in a step-2 algebra, where it must vanish.
+        entries.append((int(rng.integers(d1)), int(rng.integers(d1, n)),
+                        {int(rng.integers(n)): 1.0}))
+        layers, match = (d1, d2), "grading"
+    else:
+        # Step 3 with three generators: [e0, e1] = e_d1 and
+        # [e2, e_d1] = e_n leave [e0,[e1,e2]] + [e1,[e2,e0]] + [e2,[e0,e1]]
+        # = e_n, whatever the other V1 brackets are; [e0, e_d1] and
+        # [e1, e_d1] stay zero.
+        assume(d1 >= 3)
+        entries[0][2].clear()
+        entries[0][2][d1] = 1.0
+        entries.append((2, d1, {n: float(rng.uniform(0.5, 2))}))
+        layers, match = (d1, d2, 1), "Jacobi"
+    # The term table is built only once the algebra has passed every check.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GradedLieAlgebra, "_build_terms", _never)
+        with pytest.raises(CarrierConstructionError, match=match):
+            make_carnot(_spec(layers, entries), 0.5)
+        with pytest.raises(CarrierConstructionError, match=match):
+            make_carnot(json.dumps(_spec(layers, entries)), 0.5)
+
+
+def _never(self):
+    raise AssertionError("term table built for an invalid algebra")
 
 
 @settings(deadline=None, max_examples=40)
@@ -442,20 +633,22 @@ def test_perturbed_delta_inverse_solves_delta(eps, ratio, log_scale, rows,
        log_scale=st.floats(-6, 1), lowest=st.integers(1, 5),
        count=st.integers(1, 6), sign=st.sampled_from([1, -1]),
        rows=st.sampled_from([None, 1, 7, 40]), nan_row=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
+       spare=st.booleans(), seed=st.integers(0, 2**32 - 1))
 # Rows near unit size with eta close to eps: inverting the block of
 # distinct per-level points, some levels' first Newton steps exceed the
 # full-step bound and backtrack while others do not, and the levels stop
 # at different iterations.
 @example(eps=0.5, ratio=0.98, log_scale=0.3, lowest=1, count=6, sign=1,
-         rows=40, nan_row=True, seed=7)
+         rows=40, nan_row=True, spare=False, seed=7)
 def test_perturbed_power_block_matches_each_level(eps, ratio, log_scale,
                                                   lowest, count, sign, rows,
-                                                  nan_row, seed):
+                                                  nan_row, spare, seed):
     # A block of consecutive levels runs as one chain whose Newton inverse
     # judges each level on its own: every level must come out byte for byte
     # as its one-level power, also when the input already carries the
     # levels (a second power on the block, as the stable level forms do).
+    # The levels come shaped (B,) + (1,) * g.ndim, as core._at_levels
+    # passes them, or with a spare axis after the level axis.
     eta = ratio * min(eps, 1.0 - eps)
     ops = make_perturbed_plane(eps, eta).group
     shape = (2,) if rows is None else (rows, 2)
@@ -463,17 +656,19 @@ def test_perturbed_power_block_matches_each_level(eps, ratio, log_scale,
     if nan_row and rows is not None:
         g[-1, 0] = np.nan
     ks = sign * np.arange(lowest, lowest + count)
-    m = ks.reshape((-1, 1) + (1,) * g.ndim)
+    m = ks.reshape((-1,) + (1,) * (g.ndim + spare))
     block = ops.power(m, g)
     back = ops.power(-m, block)
+    assert block.shape == back.shape == m.shape[:1 + spare] + g.shape
+    block, back = (a.reshape((count,) + g.shape) for a in (block, back))
     for i, k in enumerate(ks):
         one = ops.power(int(k), g)
-        assert block[i, 0].tobytes() == one.tobytes()
-        assert back[i, 0].tobytes() == ops.power(-int(k), one).tobytes()
+        assert block[i].tobytes() == one.tobytes()
+        assert back[i].tobytes() == ops.power(-int(k), one).tobytes()
     if nan_row and rows is not None:
         # The non-finite row stays NaN; the others are finite.
-        assert np.isnan(block[:, 0, -1]).all()
-        assert np.isfinite(block[:, 0, :-1]).all()
+        assert np.isnan(block[:, -1]).all()
+        assert np.isfinite(block[:, :-1]).all()
 
 
 def test_perturbed_delta_inverse_non_finite():
