@@ -61,7 +61,7 @@ def derivative(m, x, u, cfg=None):
     """Derivative Tf(x, u) of a map between uniform irqs.
 
     The limit evaluates its levels in blocks, so ``m.fn`` receives points
-    with the levels stacked on leading axes and must broadcast over them,
+    with the levels on leading axes and must broadcast over them,
     as carrier operations do.
 
     :returns: (value, ConvergenceReport).

@@ -50,7 +50,7 @@ __all__ = [
 MAX_STEP = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedLieAlgebra:
     """Stratified nilpotent Lie algebra given by structure constants.
 
@@ -58,7 +58,8 @@ class GradedLieAlgebra:
     basis ordered layer by layer.  Construction validates antisymmetry, the
     grading (which also forces nilpotency at the declared step) and the
     Jacobi identity, and rejects steps beyond :data:`MAX_STEP`, where the
-    truncated product would stop being exact.
+    truncated product would stop being exact.  Algebras compare and hash
+    by identity.
     """
 
     layer_dims: tuple[int, ...]

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupOps:
     """Group structure with an optional endomorphism delta.
 
@@ -40,12 +40,13 @@ class GroupOps:
     against g, as the limits pass a block of levels.  ``is_morphism``
     declares delta(gh) = delta(g)delta(h).
 
-    Without ``delta_power``, :meth:`power` iterates delta or ``delta_inv``,
-    and runs a block of levels as one chain of max|m| steps with the levels
-    on g's leading axis.  An elementwise map treats each level there as a
-    one-level call does; an inverse that judges convergence over its whole
-    input declares ``stacked_delta_inv`` and then receives ``stacked=True``
-    with a block, asking it to judge each leading slice on its own.
+    Without ``delta_power``, :meth:`power` iterates delta or ``delta_inv``
+    and hands them an input whose leading axis holds independent inputs:
+    the levels of a block, run as one chain of max|m| steps, or at an int
+    level a single slice holding the whole of g.  A map that judges
+    convergence judges each leading slice on its own, so a level of a
+    block comes out as its one-level call does.  Groups compare and hash
+    by identity.
     """
 
     mul: Callable[..., Any]
@@ -55,7 +56,6 @@ class GroupOps:
     delta_inv: Callable[..., Any] | None = None
     delta_power: Callable[..., Any] | None = None
     is_morphism: bool = False
-    stacked_delta_inv: bool = False
 
     def power(self, m, g):
         if self.delta_power is not None:
@@ -66,20 +66,19 @@ class GroupOps:
         if fn is None:
             raise UnsupportedCarrierError("carrier has no delta in that direction")
         if not block:
-            out = g
+            out = np.asarray(g)[None]
             for _ in range(abs(m)):
                 out = fn(out)
-            return out
+            return out[0]
         # A block of consecutive same-sign levels, sorted by |m|, on the
         # leading axis: step j of one chain of max|m| steps applies fn to
         # the levels with |m| >= j, a suffix of the block.
-        kwargs = {"stacked": True} if sign < 0 and self.stacked_delta_inv else {}
         steps = np.abs(m.ravel())
         shape = np.broadcast_shapes(np.shape(m), np.shape(g))
-        out = np.array(fn(np.broadcast_to(g, shape), **kwargs))
+        out = np.array(fn(np.broadcast_to(g, shape)))
         for j in range(2, int(steps[-1]) + 1):
             first = int(np.searchsorted(steps, j))
-            out[first:] = fn(out[first:], **kwargs)
+            out[first:] = fn(out[first:])
         return out
 
 
@@ -91,18 +90,20 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
                    sample=None, contractive=False, epsilon=None,
                    is_morphism=False, delta_power=None, layer_dims=None,
                    divide=None, point_reflection=None,
-                   reflection_isometry=False, stacked_delta_inverse=False):
+                   reflection_isometry=False):
     r"""Build the irq ``x * u = x delta(x^-1 u)`` over a coordinate group.
 
     :param group: :class:`GroupOps` without delta (any delta fields ignored).
     :param delta: the endomorphism; must fix the neutral element.
-    :param delta_inverse: its inverse map.
+    :param delta_inverse: its inverse map.  Both maps follow the contract
+        of :class:`GroupOps`: the leading axis of their input holds
+        independent inputs.  :meth:`GroupOps.power` is the only caller of
+        ``delta_inverse`` (``star`` and ``back`` are the level star at 1
+        and -1).
     :param metric: distance; defaults to Euclidean on coordinates.
     :param sample: seeded ball sampler; defaults to a Euclidean ball
         around the neutral element.
     :param contractive: declares the carrier uniform.
-    :param stacked_delta_inverse: ``delta_inverse`` takes ``stacked=True``
-        (see :class:`GroupOps`).
     :raises CarrierConstructionError: if delta moves the neutral element.
     """
     neutral = np.asarray(group.neutral, dtype=float)
@@ -113,14 +114,7 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
 
     ops = GroupOps(group.mul, group.inv, neutral, delta=delta,
                    delta_inv=delta_inverse, delta_power=delta_power,
-                   is_morphism=is_morphism,
-                   stacked_delta_inv=stacked_delta_inverse)
-
-    def star(x, u):
-        return ops.mul(x, delta(_conjugate(ops, x, u)))
-
-    def back(x, u):
-        return ops.mul(x, delta_inverse(_conjugate(ops, x, u)))
+                   is_morphism=is_morphism)
 
     if metric is None:
         def metric(x, y):
@@ -165,10 +159,11 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
         s = ops.power(k, _conjugate(ops, x, u))
         return ops.mul(x, ops.mul(s, ops.power(-k, ops.inv(s))))
 
-    return Irq(name=name, star=star, back=back, metric=metric, sample=sample,
-               base=neutral, dim=dim, is_uniform=contractive, epsilon=epsilon,
-               group=ops, layer_dims=layer_dims, divide=divide,
-               point_reflection=point_reflection,
+    return Irq(name=name, star=lambda x, u: level_star(1, x, u),
+               back=lambda x, u: level_star(-1, x, u), metric=metric,
+               sample=sample, base=neutral, dim=dim, is_uniform=contractive,
+               epsilon=epsilon, group=ops, layer_dims=layer_dims,
+               divide=divide, point_reflection=point_reflection,
                reflection_isometry=reflection_isometry,
                level_difference=level_difference, level_sum=level_sum,
                level_inverse=level_inverse, level_star=level_star)
@@ -217,59 +212,38 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
         det = eps2 - eta2 * c[..., 0] * c[..., 1]
         return (epsilon * r - eta * (c * r)[..., ::-1]) / det[..., None]
 
+    def sq_norm(v):
+        return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
+
     def backtrack(x, q, r, step, new, r_new, limit):
         # Armijo backtracking: halve the step on the rows whose squared
         # residual it does not cut by the factor 1 - t/2, until the halved
         # step is negligible against ``limit``, which broadcasts against
         # the rows.
-        sq = (r * r).sum(axis=-1)
-        rows = np.abs(step).max(axis=-1)
+        sq = sq_norm(r)
+        rows = np.maximum(np.abs(step[..., 0]), np.abs(step[..., 1]))
         t = np.ones(sq.shape)
         while True:
-            worse = (((r_new * r_new).sum(axis=-1) > (1 - t / 2) * sq)
-                     & (t * rows > limit))
+            worse = (sq_norm(r_new) > (1 - t / 2) * sq) & (t * rows > limit)
             if not worse.any():
                 return new, r_new
             t = np.where(worse, t / 2, t)
             new = x - t[..., None] * step
             r_new = delta(new) - q
 
-    def delta_inverse(q, stacked=False):
+    def delta_inverse(q):
+        # q's leading axis holds independent slices (see GroupOps), and a
+        # single point is one slice: the stop rule, the full-step gate and
+        # the backtracking floor are judged per slice, and a slice leaves
+        # the iteration once it has converged.
         q = np.asarray(q, dtype=float)
-        finite = np.isfinite(q).all(axis=-1, keepdims=True)
-        if not finite.all():
+        if q.ndim == 1:
+            return delta_inverse(q[None])[0]
+        if not np.isfinite(q).all():
             # A row with a non-finite coordinate has no preimage.
-            return np.where(finite,
-                            delta_inverse(np.where(finite, q, 0.0), stacked),
+            finite = np.isfinite(q).all(axis=-1, keepdims=True)
+            return np.where(finite, delta_inverse(np.where(finite, q, 0.0)),
                             np.nan)
-        if stacked:
-            return solve_levels(q)
-        x = q / epsilon
-        r = delta(x) - q
-        for _ in range(50):
-            step = newton_step(x, r)
-            size = np.abs(step).max()
-            # The stop must be relative to the scale: iterated delta^-k
-            # chains feed tiny intermediate values through here, and an
-            # absolute floor would inject errors that later inverse steps
-            # amplify.
-            limit = step_tol * np.abs(x).max()
-            new = x - step
-            if size <= limit:
-                return new
-            r_new = delta(new) - q
-            if size > full_step:
-                new, r_new = backtrack(x, q, r, step, new, r_new, limit)
-            x, r = new, r_new
-        raise NonConvergenceError(
-            f"inverse dilation on {name!r}: Newton step {size:.3e} above "
-            f"{limit:.3e} after 50 iterations")
-
-    def solve_levels(q):
-        # The iteration above on a block, q's leading axis holding one
-        # level each: the stop rule, the full-step gate and the backtracking
-        # floor are judged per level, and a level leaves the iteration once
-        # it has converged, so each comes out as its one-level call would.
         out = np.empty_like(q)
         todo = np.arange(len(q))
         axes = tuple(range(1, q.ndim))
@@ -278,6 +252,10 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
         for _ in range(50):
             step = newton_step(x, r)
             size = np.abs(step).max(axis=axes)
+            # The stop must be relative to the scale: iterated delta^-k
+            # chains feed tiny intermediate values through here, and an
+            # absolute floor would inject errors that later inverse steps
+            # amplify.
             limit = step_tol * np.abs(x).max(axis=axes)
             new = x - step
             done = size <= limit
@@ -304,5 +282,4 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
                      neutral=np.zeros(2))
     return make_group_irq(group, delta, delta_inverse, name=name, dim=2,
                           contractive=True, epsilon=epsilon + eta,
-                          is_morphism=False, layer_dims=(2,),
-                          stacked_delta_inverse=True)
+                          is_morphism=False, layer_dims=(2,))

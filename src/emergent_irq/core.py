@@ -65,7 +65,7 @@ MAX_ITER_EXPONENT = 10**6
 DEFAULT_LEVELS = (-2, -1, 1, 2, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Irq:
     """An idempotent right quasigroup carrier.
 
@@ -119,10 +119,12 @@ class Irq:
     On a uniform carrier with ``level_star``, the limits hand the four
     level hooks a block of levels at once: k is then an int array shaped to
     broadcast against the points, with the levels on its leading axis, and
-    the hook returns the values stacked along it.  A group carrier without
+    the hook returns the values along it.  A group carrier without
     a closed-form ``delta_power`` (the perturbed plane) evaluates the block
     as one chain of max|k| dilation steps, the deeper levels carried along
     while the shallower ones stop.
+
+    Carriers compare and hash by identity, as their fields hold arrays.
     """
 
     name: str
@@ -239,7 +241,7 @@ def _level_power(eps, k):
 
 def _at_levels(irqs, level, ks, *points):
     """``level(k, *points)`` at each level of the 1-D int array ``ks`` of
-    consecutive levels, stacked on a new leading axis.
+    consecutive levels, along a new leading axis.
 
     The carriers in ``irqs`` see the levels as one array shaped
     (B,) + (1,) * ndim, one axis more than the points have, so their

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AxiomReport, back_k, inverse_k, sample_tuples, star_k
+from .core import (AxiomReport, _require_level, back_k, inverse_k,
+                   sample_tuples, star_k)
 from .errors import NonConvergenceError, UnsupportedCarrierError
 from .limits import LimitConfig, emergent_inverse
 
@@ -125,9 +126,12 @@ def right_divide_k(irq, k, b, a, method=None):
     """Solve y *_k a = b; the post-condition d(star_k(y, a), b) <= tol is
     always verified on the returned value.
 
+    :raises InvalidExponentError: for a level that is not a nonzero int,
+        before any solve runs.
     :raises NonConvergenceError: when the residual check fails.
     :raises UnsupportedCarrierError: for a method the carrier cannot run.
     """
+    _require_level(k)
     method = method or default_division_method(irq)
     if method.kind == "closed_form":
         if irq.divide is None:

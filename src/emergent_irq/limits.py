@@ -119,7 +119,7 @@ def _block_size(trail, done, window, tol):
 
 
 def _cauchy_steps(irq, chain):
-    """Batch-max d(chain[i], chain[i + 1]) over consecutive stacked values."""
+    """Batch-max d(chain[i], chain[i + 1]) over consecutive values."""
     if len(chain) < 2:
         return ()
     d = irq.metric(chain[:-1], chain[1:])
@@ -164,7 +164,7 @@ def limit(irq, value_at, cfg, what):
     """Limit of the level-k values ``value_at`` gives as k grows.
 
     ``value_at(ks)`` takes a 1-D int array of consecutive levels and
-    returns their values stacked on a new leading axis.  The loop stops
+    returns their values along a new leading axis.  The loop stops
     at the first level k where the last ``cfg.cauchy_window`` steps
     d(value_{k-1}, value_k) are all within ``cfg.tol``; ``what`` names the
     limit in error messages.

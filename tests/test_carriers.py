@@ -626,6 +626,15 @@ def test_perturbed_delta_inverse_solves_delta(eps, ratio, log_scale, rows,
     scale = float(np.max(np.abs(q)))
     np.testing.assert_allclose(ops.delta(ops.delta_inv(q)), q, rtol=0,
                                atol=1e-12 * scale)
+    # The inverse judges each slice of its input's leading axis on its own,
+    # and a single point is one slice, as GroupOps.power hands it over.
+    if rows is None:
+        assert ops.delta_inv(q).tobytes() == ops.power(-1, q).tobytes()
+        return
+    stack = q * np.array([1.0, 0.5, 1e-3])[:, None, None]
+    stack[1, 0, 0] = np.nan
+    want = np.stack([ops.power(-1, s) for s in stack])
+    assert ops.delta_inv(stack).tobytes() == want.tobytes()
 
 
 @settings(deadline=None, max_examples=100)
@@ -692,6 +701,19 @@ def test_perturbed_construction_errors():
         make_perturbed_plane(1.2, 0.1)
     with pytest.raises(CarrierConstructionError):
         make_perturbed_plane(0.5, -0.1)
+
+
+def test_carriers_compare_and_hash_by_identity():
+    # A carrier, its group and its algebra hold arrays, so value equality
+    # would be ambiguous; each compares and hashes by identity.
+    alg = heisenberg_algebra()
+    heis = make_carnot(alg, 0.5)
+    twin = make_carnot(alg, 0.5)
+    for one, other in ((alg, heisenberg_algebra()), (heis, twin),
+                       (heis.group, twin.group)):
+        assert one == one and one != other
+        assert hash(one) == hash(one)
+        assert len({one, other}) == 2
 
 
 def test_group_irq_rejects_delta_moving_neutral():

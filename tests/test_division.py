@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from emergent_irq.carriers import (GroupOps, make_dihedral_quandle,
-                                   make_engel, make_euclidean, make_group_irq,
+from emergent_irq.carriers import (GradedLieAlgebra, GroupOps, build_carrier,
+                                   carrier_registry, make_carnot,
+                                   make_dihedral_quandle, make_engel,
+                                   make_euclidean, make_group_irq,
                                    make_heisenberg, make_hyperbolic,
                                    make_perturbed_plane, reflect)
 from emergent_irq.core import inverse_k, star_k
@@ -15,7 +17,8 @@ from emergent_irq.division import (DivisionMethod, check_involution,
                                    default_division_method,
                                    loop_isotope_k, loos_identity_names,
                                    right_divide_k, t_map, underline_inv_k)
-from emergent_irq.errors import NonConvergenceError, UnsupportedCarrierError
+from emergent_irq.errors import (InvalidExponentError, NonConvergenceError,
+                                 UnsupportedCarrierError)
 from emergent_irq.limits import LimitConfig, emergent_inverse, emergent_sum
 
 
@@ -51,6 +54,29 @@ def _truncated_product(irq, k, b, a, terms=200):
     for p in range(1, terms + 1):
         y = g.mul(y, g.power(k * p, h))
     return y
+
+
+def _bundled_carriers():
+    # Every registered carrier at its defaults; the generic Carnot one on
+    # the step-4 filiform algebra.
+    filiform = GradedLieAlgebra.from_brackets(
+        (2, 1, 1, 1), [(0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (0, 3, {4: 1.0})])
+    return [make_carnot(filiform, 0.5) if name == "carnot"
+            else build_carrier(name) for name in carrier_registry()]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [0, 2.0, True], ids=["zero", "float", "bool"])
+def test_division_rejects_a_bad_level_before_solving(k):
+    # A level that is not a nonzero int raises before any solve runs: no
+    # carrier warns, divides by zero or iterates first.
+    for irq in _bundled_carriers():
+        x, u, v = irq.sample(0, 3, 0.5)
+        for call in (lambda: right_divide_k(irq, k, u, x),
+                     lambda: loop_isotope_k(irq, k, x, u, v),
+                     lambda: underline_inv_k(irq, k, u, v)):
+            with pytest.raises(InvalidExponentError):
+                call()
 
 
 def test_default_division_method():

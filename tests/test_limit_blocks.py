@@ -178,6 +178,20 @@ def test_stacked_limits_match_one_level_loop(irq, radius, tol, batch):
             _assert_same(irq, "derivative", points, cfg, fn)
 
 
+GROUP_CARRIERS = [irq for irq, _, _ in UNIFORM if irq.group is not None]
+
+
+@pytest.mark.parametrize("irq", GROUP_CARRIERS,
+                         ids=[irq.name for irq in GROUP_CARRIERS])
+def test_group_star_and_back_are_the_level_star(irq):
+    # make_group_irq's star and back are its level star at 1 and -1, so
+    # GroupOps.power is the only caller of the inverse dilation.
+    pts = irq.sample(5, 14, 2.0)
+    for x, u in ((pts[:7], pts[7:]), (pts[0], pts[1]), (pts[0], pts[7:])):
+        assert irq.star(x, u).tobytes() == star_k(irq, 1, x, u).tobytes()
+        assert irq.back(x, u).tobytes() == star_k(irq, -1, x, u).tobytes()
+
+
 def test_derivative_at_one_basepoint_of_a_batch():
     # The CLI's shape: one basepoint, a batch of directions.
     heis = make_heisenberg(0.5)
