@@ -140,12 +140,6 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
     eps = np.float64(epsilon)
     base = np.array([0.0, 1.0])
 
-    def star(x, u):
-        return exp_map(x, epsilon * log_map(x, u))
-
-    def back(x, u):
-        return exp_map(x, log_map(x, u) / epsilon)
-
     def sample(seed, count, radius):
         rng = np.random.default_rng(seed)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
@@ -168,8 +162,9 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
     def level_inverse(k, x, u):
         return exp_map(x, (_level_power(eps, k) - 1.0) * log_map(x, u))
 
-    return Irq(name=name, star=star, back=back, metric=geodesic_distance,
-               sample=sample, base=base, dim=2, is_uniform=True,
-               epsilon=epsilon, divide=divide, point_reflection=reflect,
-               reflection_isometry=True, level_inverse=level_inverse,
-               level_star=level_star)
+    return Irq(name=name, star=lambda x, u: level_star(1, x, u),
+               back=lambda x, u: level_star(-1, x, u),
+               metric=geodesic_distance, sample=sample, base=base, dim=2,
+               is_uniform=True, epsilon=epsilon, divide=divide,
+               point_reflection=reflect, reflection_isometry=True,
+               level_inverse=level_inverse, level_star=level_star)

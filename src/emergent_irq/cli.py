@@ -334,8 +334,14 @@ def _exp_divide(irq, cfg):
             f"carrier {irq.name!r} supports right division at no level in "
             "the grid (-1, 1, 2, 3)")
     if irq.is_uniform:
-        k_lim = min(30, cfg["max_k"] - 1)
         tol_lim = max(cfg["tol"], 1e-6)
+        # a /_k x lies about eps^k d(a, x) from a, and sampled points lie
+        # within 2 * radius of each other: the smallest level k >= 30 where
+        # that bound is within the row tolerance, at most max_k - 1.
+        k_lim = min(30, cfg["max_k"] - 1)
+        while (k_lim < cfg["max_k"] - 1
+               and irq.epsilon ** k_lim * 2.0 * cfg["radius"] > tol_lim):
+            k_lim += 1
         # The loop isotopes converge to the tangent sum when the dilation
         # is a group morphism; without that the two limits genuinely
         # differ (the isotope limit here need not be the tangent sum), so

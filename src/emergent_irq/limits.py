@@ -126,40 +126,6 @@ def _cauchy_steps(irq, chain):
     return np.max(np.reshape(d, (len(chain) - 1, -1)), axis=1)
 
 
-def _steps(irq, value_at, ks, prev, what):
-    """Yield (value_k, d(value_{k-1}, value_k)) for each level k in ``ks``;
-    ``prev`` is the value before the first of them, or None when ``ks``
-    starts at level 1, whose value is yielded with no step.
-
-    The block is evaluated in one ``value_at`` call and its steps in one
-    metric call.  A block that raises a library error is re-run one level
-    at a time, so the error comes from the level where a one-level loop
-    meets it, and only once every earlier level has been scanned.  A level
-    that leaves the carrier raises :class:`InvalidPointError` naming the
-    limit ``what``, the carrier and the level.
-    """
-    try:
-        values = value_at(ks)
-        chain = values if prev is None else np.concatenate([prev[None], values])
-        steps = _cauchy_steps(irq, chain)
-    except EmergentAlgebraError as err:
-        if len(ks) > 1:
-            for i in range(len(ks)):
-                for value, step in _steps(irq, value_at, ks[i:i + 1], prev,
-                                          what):
-                    yield value, step
-                    prev = value
-            return
-        if isinstance(err, InvalidPointError):
-            raise InvalidPointError(
-                f"{what} on {irq.name!r} at level {ks[0]}: {err}") from err
-        raise
-    if prev is None:
-        yield values[0], None
-    for value, step in zip(chain[1:], steps):
-        yield value, float(step)
-
-
 def limit(irq, value_at, cfg, what):
     """Limit of the level-k values ``value_at`` gives as k grows.
 
@@ -172,12 +138,15 @@ def limit(irq, value_at, cfg, what):
     Levels are requested in blocks.  The first is 1 .. window + 1; each
     later one runs to the stop level the last step ratio predicts, but
     never past twice the depth reached, and holds one level while the
-    trail is not shrinking or on carriers without ``level_star``, whose
-    own star and back may judge convergence over the whole block.  A group
-    carrier without a closed-form dilation power (the perturbed plane)
-    runs each block as one chain of dilation steps.  The steps are then
-    scanned level by level, so the value, stop level, trail and errors are
-    those of evaluating one level at a time.
+    trail is not shrinking.  The loop asks for one level at a time on
+    carriers without ``level_star``, whose own star and back may judge
+    convergence over the whole block, and from the first block that
+    raises a library error on: that block's levels are evaluated again
+    one by one, so the error comes from the level where a one-level loop
+    meets it.  A group carrier without a closed-form dilation power (the
+    perturbed plane) runs each block as one chain of dilation steps.  The
+    steps are scanned level by level, so the value, stop level, trail and
+    errors are those of evaluating one level at a time.
 
     :returns: (value, :class:`ConvergenceReport`).
     :raises NonConvergenceError: when the trail bottoms out above the
@@ -200,10 +169,20 @@ def limit(irq, value_at, cfg, what):
         else:
             size = _block_size(trail, done, window, cfg.tol)
         ks = np.arange(done + 1, min(done + size, max_k) + 1)
-        for value, step in _steps(irq, value_at, ks, prev, what):
-            prev = value
-            if step is None:
+        try:
+            values = value_at(ks)
+            chain = values if prev is None else np.concatenate([prev[None], values])
+            steps = _cauchy_steps(irq, chain)
+        except EmergentAlgebraError as err:
+            if len(ks) > 1:
+                one_level = True
                 continue
+            if isinstance(err, InvalidPointError):
+                raise InvalidPointError(
+                    f"{what} on {irq.name!r} at level {ks[0]}: {err}") from err
+            raise
+        for value, step in zip(chain[1:], steps):
+            step = float(step)
             trail.append(step)
             if len(trail) >= window and all(r <= cfg.tol
                                             for r in trail[-window:]):
@@ -223,6 +202,7 @@ def limit(irq, value_at, cfg, what):
                     f"near {floor:.3e} and is growing again; either no "
                     f"limit exists here or tol {cfg.tol:.1e} is below the "
                     f"carrier's numerical floor", trail)
+        prev = chain[-1]
         done = int(ks[-1])
     raise NonConvergenceError(
         f"{what} on {irq.name!r} did not settle within max_k={cfg.max_k} "
@@ -307,31 +287,22 @@ def verify_tangent_group(irq, x, cfg=None, samples=100, tol=1e-7, seed=0,
     _require_uniform(irq, "verify_tangent_group")
     u, v, w = sample_tuples(irq, seed, samples, radius, 3)
     xs = np.broadcast_to(np.asarray(x), np.shape(u)).copy()
-
-    def dif(a, b, c):
-        return emergent_difference(irq, a, b, c, cfg)[0]
-
-    def add(a, b, c):
-        return emergent_sum(irq, a, b, c, cfg)[0]
-
-    def neg(a, b):
-        return emergent_inverse(irq, a, b, cfg)[0]
-
-    s_uv = add(xs, u, v)
-    d_uv = dif(xs, u, v)
-    i_u = neg(xs, u)
+    g = TangentGroup(irq, xs, cfg or LimitConfig())
+    add, dif, alpha = g.product, g.difference, g.contraction
+    s_uv = add(u, v)
+    d_uv = dif(u, v)
+    i_u = g.inverse(u)
 
     checks = [
-        ("5.2a", [(dif(xs, u, s_uv), v)]),
-        ("5.2b", [(add(xs, u, d_uv), v)]),
-        ("5.2c", [(d_uv, add(xs, i_u, v))]),
-        ("5.2d", [(neg(xs, i_u), u)]),
-        ("5.2e", [(add(xs, u, add(xs, v, w)), add(xs, s_uv, w))]),
-        ("5.2f", [(i_u, dif(xs, u, xs))]),
-        ("5.2g", [(add(xs, xs, u), u), (add(xs, u, xs), u)]),
-        ("5.2-inverse", [(add(xs, u, i_u), xs), (add(xs, i_u, u), xs)]),
-        ("5.2-alpha", [(irq.star(xs, s_uv),
-                        add(xs, irq.star(xs, u), irq.star(xs, v)))]),
+        ("5.2a", [(dif(u, s_uv), v)]),
+        ("5.2b", [(add(u, d_uv), v)]),
+        ("5.2c", [(d_uv, add(i_u, v))]),
+        ("5.2d", [(g.inverse(i_u), u)]),
+        ("5.2e", [(add(u, add(v, w)), add(s_uv, w))]),
+        ("5.2f", [(i_u, dif(u, xs))]),
+        ("5.2g", [(add(xs, u), u), (add(u, xs), u)]),
+        ("5.2-inverse", [(add(u, i_u), xs), (add(i_u, u), xs)]),
+        ("5.2-alpha", [(alpha(s_uv), add(alpha(u), alpha(v)))]),
     ]
     return [AxiomReport.judge(irq, name, samples, pairs, tol)
             for name, pairs in checks]
@@ -395,19 +366,14 @@ def reconstruct_group(irq, e, cfg=None, samples=200, tol=1e-6, seed=0,
             f"carrier {irq.name!r} is not distributive "
             f"(residual {report.max_residual:.3e} > tol {report.tolerance:.1e}); "
             "no group to reconstruct", report)
-    cfg = cfg or LimitConfig()
-
-    def product(u, v):
-        return emergent_sum(irq, e, u, v, cfg)[0]
-
-    def inverse(u):
-        return emergent_inverse(irq, e, u, cfg)[0]
+    g = TangentGroup(irq, e, cfg or LimitConfig())
 
     def star(x, y):
-        return product(x, irq.star(e, product(inverse(x), y)))
+        return g.product(x, irq.star(e, g.product(g.inverse(x), y)))
 
     def back(x, y):
-        return product(x, irq.back(e, product(inverse(x), y)))
+        return g.product(x, irq.back(e, g.product(g.inverse(x), y)))
 
-    return ReconstructedGroup(neutral=e, product=product, inverse=inverse,
-                              star=star, back=back, distributivity=report)
+    return ReconstructedGroup(neutral=e, product=g.product,
+                              inverse=g.inverse, star=star, back=back,
+                              distributivity=report)

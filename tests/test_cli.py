@@ -79,6 +79,34 @@ def test_divide_dihedral_skips_even_levels(capsys):
     assert all(r[5] == "0.0" and r[7] == "true" for r in rows)
 
 
+@pytest.mark.parametrize("carrier,params,k", [
+    ("euclidean", {"epsilon": 0.5}, "30"),
+    ("euclidean", {"epsilon": 0.7}, "43"),
+    ("euclidean", {"epsilon": 0.8}, "69"),
+    ("euclidean", {"epsilon": 0.9}, "145"),
+    ("heisenberg", {"epsilon": 0.5}, "30"),
+    ("heisenberg", {"epsilon": 0.7}, "43"),
+    ("heisenberg", {"epsilon": 0.8}, "69"),
+    ("heisenberg", {"epsilon": 0.9}, "145"),
+    # The perturbed plane contracts at eps + eta = 0.7.
+    ("perturbed", {"epsilon": 0.6, "eta": 0.1}, "43"),
+])
+def test_prefactor_level_follows_epsilon(tmp_path, capsys, carrier, params,
+                                         k):
+    # b /_k a lies about eps^k d(a, b) from b, so at a fixed level 30 the
+    # 6.3-prefactor row failed for eps >= 0.7; the level now grows with
+    # eps and stays 30 at the default eps = 0.5.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(params))
+    rc, out, _ = run(capsys, ["run", "--carrier", carrier, "--experiment",
+                              "divide", "--config", str(cfg)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    limit_rows = [r for r in rows if r[2] in ("6.3-limit", "6.3-prefactor")]
+    assert limit_rows[-1][2] == "6.3-prefactor"
+    assert all(r[3] == k and r[7] == "true" for r in limit_rows)
+
+
 def test_symmetric_row_sets(capsys):
     rc, out, _ = run(capsys, ["run", "--carrier", "perturbed",
                               "--experiment", "symmetric"])

@@ -178,14 +178,19 @@ def test_stacked_limits_match_one_level_loop(irq, radius, tol, batch):
             _assert_same(irq, "derivative", points, cfg, fn)
 
 
-GROUP_CARRIERS = [irq for irq, _, _ in UNIFORM if irq.group is not None]
+# Away from eps = 0.5, u / eps and eps^-1 * u differ in the last bit.
+LEVEL_STAR_CARRIERS = [irq for irq, _, _ in UNIFORM
+                       if irq.level_star is not None] + [
+    make_hyperbolic(0.7, name="hyperbolic-0.7")]
 
 
-@pytest.mark.parametrize("irq", GROUP_CARRIERS,
-                         ids=[irq.name for irq in GROUP_CARRIERS])
+@pytest.mark.parametrize("irq", LEVEL_STAR_CARRIERS,
+                         ids=[irq.name for irq in LEVEL_STAR_CARRIERS])
 def test_group_star_and_back_are_the_level_star(irq):
-    # make_group_irq's star and back are its level star at 1 and -1, so
-    # GroupOps.power is the only caller of the inverse dilation.
+    # Star and back are the level star at 1 and -1 on the group carriers
+    # and on the hyperbolic plane: on the former GroupOps.power is then the
+    # only caller of the inverse dilation, and the hyperbolic back scales
+    # by eps^-1 as every other level does.
     pts = irq.sample(5, 14, 2.0)
     for x, u in ((pts[:7], pts[7:]), (pts[0], pts[1]), (pts[0], pts[7:])):
         assert irq.star(x, u).tobytes() == star_k(irq, 1, x, u).tobytes()
@@ -245,16 +250,20 @@ def test_newton_failure_inside_a_block_matches():
     # delta^-k doubles a point near 1e306 until level 8 leaves the float
     # range, where the perturbed plane's Newton inverse cannot converge.
     # The first block (levels 1 .. window + 1) holds that level, so the
-    # stacked solve fails and the block is re-run one level at a time; the
+    # stacked solve fails and the loop goes on one level at a time; the
     # error is the one-level one, message and trail alike.
     pert = make_perturbed_plane(0.5, 0.1)
     u = np.array([[1e306, -3e305], [0.5, 0.2]])
     cfg = LimitConfig(tol=1e-8, cauchy_window=10, max_k=30)
     what = "expansion"
+    requested = []
 
     def stacked():
-        return limits.limit(pert, lambda ks: core._at_levels(
-            (pert,), partial(core._back, pert), ks, pert.base, u), cfg, what)
+        def value_at(ks):
+            requested.append(len(ks))
+            return core._at_levels((pert,), partial(core._back, pert), ks,
+                                   pert.base, u)
+        return limits.limit(pert, value_at, cfg, what)
 
     with np.errstate(all="ignore"):
         want = _outcome(lambda: _one_level_limit(
@@ -265,6 +274,9 @@ def test_newton_failure_inside_a_block_matches():
     assert got == want
     assert got[:2] == ("error", "NonConvergenceError")
     assert got[2].startswith("inverse dilation on 'perturbed': Newton step")
+    # After the failing block the loop asks for one level at a time, up to
+    # the level that fails.
+    assert requested == [cfg.cauchy_window + 1] + [1] * 8
 
 
 @pytest.fixture
