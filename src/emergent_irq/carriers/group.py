@@ -43,9 +43,11 @@ class GroupOps:
     Without ``delta_power``, :meth:`power` iterates delta or ``delta_inv``
     and hands them an input whose leading axis holds independent inputs:
     the levels of a block, run as one chain of max|m| steps, or at an int
-    level a single slice holding the whole of g.  A map that judges
-    convergence judges each leading slice on its own, so a level of a
-    block comes out as its one-level call does.  Groups compare and hash
+    level a single slice holding the whole of g.  A block whose g has no
+    level axis starts every level from the same g, so it runs the
+    int-level chain once and takes level m from its step |m|.  A map that
+    judges convergence judges each leading slice on its own, so a level of
+    a block comes out as its one-level call does.  Groups compare and hash
     by identity.
     """
 
@@ -75,6 +77,13 @@ class GroupOps:
         # the levels with |m| >= j, a suffix of the block.
         steps = np.abs(m.ravel())
         shape = np.broadcast_shapes(np.shape(m), np.shape(g))
+        if np.ndim(g) < len(shape):
+            # Every level starts from the same g: run the int-level chain
+            # once and take level m from its step |m|.
+            chain = [np.asarray(g)[None]]
+            for _ in range(int(steps[-1])):
+                chain.append(fn(chain[-1]))
+            return np.concatenate(chain)[steps].reshape(shape)
         out = np.array(fn(np.broadcast_to(g, shape)))
         for j in range(2, int(steps[-1]) + 1):
             first = int(np.searchsorted(steps, j))

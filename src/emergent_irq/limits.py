@@ -98,9 +98,15 @@ def _estimate_rate(trail, span=5):
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def _block_size(trail, done, window, tol):
-    """Levels to evaluate after level ``done``: up to the stop level the
-    last step ratio predicts, at most ``done`` of them."""
+def _block_size(trail, done, window, tol, floor):
+    """Levels to evaluate after level ``done``, at most ``done`` of them.
+
+    While the trail is under ``tol``, the levels left to fill the window.
+    When the last step is a new low (``floor`` is the least step so far),
+    up to the stop level its ratio to the step before predicts; otherwise
+    the trail is not shrinking, or has bottomed out and may be about to
+    raise, and there is nothing to extrapolate: window + 1 levels, the
+    size of the first block."""
     under = 0
     for step in reversed(trail):
         if not step <= tol:
@@ -108,14 +114,12 @@ def _block_size(trail, done, window, tol):
         under += 1
     if under:
         need = window - under
+    elif len(trail) > 1 and trail[-1] < trail[-2] and trail[-1] <= floor:
+        need = (math.ceil(math.log(tol / trail[-1])
+                          / math.log(trail[-1] / trail[-2])) + window - 1)
     else:
-        ratio = (trail[-1] / trail[-2] if len(trail) > 1 and trail[-2] > 0.0
-                 else float("nan"))
-        if not 0.0 < ratio < 1.0:
-            # The trail is not shrinking yet: nothing to extrapolate.
-            return 1
-        need = math.ceil(math.log(tol / trail[-1]) / math.log(ratio)) + window - 1
-    return max(1, min(need, done))
+        need = window + 1
+    return min(need, done)
 
 
 def _cauchy_steps(irq, chain):
@@ -135,22 +139,25 @@ def limit(irq, value_at, cfg, what):
     d(value_{k-1}, value_k) are all within ``cfg.tol``; ``what`` names the
     limit in error messages.
 
-    Levels are requested in blocks.  The first is 1 .. window + 1; each
-    later one runs to the stop level the last step ratio predicts, but
-    never past twice the depth reached, and holds one level while the
-    trail is not shrinking.  The loop asks for one level at a time on
-    carriers without ``level_star``, whose own star and back may judge
-    convergence over the whole block, and from the first block that
-    raises a library error on: that block's levels are evaluated again
-    one by one, so the error comes from the level where a one-level loop
-    meets it.  A group carrier without a closed-form dilation power (the
-    perturbed plane) runs each block as one chain of dilation steps.  The
+    Levels are requested in blocks, never past twice the depth reached.
+    The first is 1 .. window + 1.  When the last step is a new low of the
+    trail, the next block runs to the stop level its ratio to the step
+    before predicts; otherwise it has window + 1 levels, so a trail that
+    bottoms out and regrows is not extrapolated past where it raises.
+    The loop asks for one level at a time on carriers without
+    ``level_star``, whose own star and back may judge convergence over
+    the whole block, and from the first block that raises a library error
+    on: that block's levels are evaluated again one by one, so the error
+    comes from the level where a one-level loop meets it.  A group carrier without a closed-form dilation power (the
+    perturbed plane) runs each block as one chain of dilation steps, and
+    a block whose input has no level axis as the int-level chain.  The
     steps are scanned level by level, so the value, stop level, trail and
     errors are those of evaluating one level at a time.
 
     :returns: (value, :class:`ConvergenceReport`).
     :raises NonConvergenceError: when the trail bottoms out above the
-        tolerance and grows again, or does not settle by ``cfg.max_k``.
+        tolerance and regrows a thousandfold (the message names both
+        levels), or does not settle by ``cfg.max_k``.
     :raises InvalidPointError: when a level's value leaves the carrier;
         the message names the limit, the carrier and the level.
     """
@@ -158,7 +165,7 @@ def limit(irq, value_at, cfg, what):
     window, max_k = int(cfg.cauchy_window), int(cfg.max_k)
     one_level = irq.level_star is None
     trail = []
-    floor = float("inf")
+    floor, floor_k = float("inf"), 0
     prev = None
     done = 0
     while done < max_k:
@@ -167,7 +174,7 @@ def limit(irq, value_at, cfg, what):
         elif done == 0:
             size = window + 1
         else:
-            size = _block_size(trail, done, window, cfg.tol)
+            size = _block_size(trail, done, window, cfg.tol, floor)
         ks = np.arange(done + 1, min(done + size, max_k) + 1)
         try:
             values = value_at(ks)
@@ -189,7 +196,8 @@ def limit(irq, value_at, cfg, what):
                 report = ConvergenceReport(True, len(trail) + 1,
                                            tuple(trail), _estimate_rate(trail))
                 return value.copy(), report
-            floor = min(floor, step)
+            if step < floor:
+                floor, floor_k = step, len(trail) + 1
             # Rounding noise in deep-level iterates grows geometrically and
             # can later saturate into a spuriously constant value; a Cauchy
             # window would then close on that artifact.  A trail that
@@ -199,8 +207,9 @@ def limit(irq, value_at, cfg, what):
             if floor > cfg.tol and step > 1e3 * floor:
                 raise NonConvergenceError(
                     f"{what} on {irq.name!r}: residual trail bottomed out "
-                    f"near {floor:.3e} and is growing again; either no "
-                    f"limit exists here or tol {cfg.tol:.1e} is below the "
+                    f"near {floor:.3e} at level {floor_k} and regrew "
+                    f"1000-fold by level {len(trail) + 1}; either no limit "
+                    f"exists here or tol {cfg.tol:.1e} is below the "
                     f"carrier's numerical floor", trail)
         prev = chain[-1]
         done = int(ks[-1])

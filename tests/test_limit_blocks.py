@@ -42,7 +42,7 @@ def _one_level_limit(irq, value_at, cfg, what):
     window = cfg.cauchy_window
     prev = at(1)
     trail = []
-    floor = math.inf
+    floor, floor_k = math.inf, 0
     for k in range(2, cfg.max_k + 1):
         cur = at(k)
         step = float(np.max(irq.metric(prev, cur)))
@@ -50,13 +50,15 @@ def _one_level_limit(irq, value_at, cfg, what):
         if len(trail) >= window and all(r <= cfg.tol for r in trail[-window:]):
             return cur, ConvergenceReport(True, k, tuple(trail),
                                           limits._estimate_rate(trail))
-        floor = min(floor, step)
+        if step < floor:
+            floor, floor_k = step, k
         if floor > cfg.tol and step > 1e3 * floor:
             raise NonConvergenceError(
                 f"{what} on {irq.name!r}: residual trail bottomed out "
-                f"near {floor:.3e} and is growing again; either no "
-                f"limit exists here or tol {cfg.tol:.1e} is below the "
-                f"carrier's numerical floor", trail)
+                f"near {floor:.3e} at level {floor_k} and regrew "
+                f"1000-fold by level {k}; either no limit exists here or "
+                f"tol {cfg.tol:.1e} is below the carrier's numerical "
+                f"floor", trail)
         prev = cur
     raise NonConvergenceError(
         f"{what} on {irq.name!r} did not settle within max_k={cfg.max_k} "
@@ -277,6 +279,49 @@ def test_newton_failure_inside_a_block_matches():
     # After the failing block the loop asks for one level at a time, up to
     # the level that fails.
     assert requested == [cfg.cauchy_window + 1] + [1] * 8
+
+
+def test_failing_limit_stops_requesting_levels_where_it_raises():
+    # The CLI's quarter-tolerance Loos attempt on the perturbed plane:
+    # inv(x, y) bottoms out near 3.04e-9 at level 40, above tol, and
+    # raises at level 58.  A dip while the trail regrows is no new low,
+    # so the loop must not extrapolate from it to levels far past that.
+    pert = make_perturbed_plane()
+    x, y, _ = core.sample_tuples(pert, 0, 100, 2.0, 3)
+    cfg = LimitConfig(tol=2.5e-9)
+    requested = []
+
+    def stacked():
+        def value_at(ks):
+            requested.extend(int(k) for k in ks)
+            return core._at_levels((pert,), partial(core._inverse, pert), ks,
+                                   x, y)
+        return limits.limit(pert, value_at, cfg, "emergent_inverse")
+
+    want = _outcome(lambda: _reference(pert, "emergent_inverse", (x, y, None),
+                                       cfg))
+    got = _outcome(stacked)
+    assert got == want
+    assert got[:2] == ("error", "NonConvergenceError")
+    assert "bottomed out near 3.043e-09 at level 40 and regrew 1000-fold " \
+        "by level 58" in got[2]
+    assert max(requested) <= 58 + cfg.cauchy_window + 1
+
+
+def test_shared_input_block_matches_one_level_powers():
+    # A block of levels applied to a g without a level axis runs one chain
+    # of delta (or its Newton inverse) steps; each level must be the
+    # int-level power bit for bit, a non-finite row included.
+    pert = make_perturbed_plane()
+    g = pert.sample(3, 5, 2.0)
+    g[2] = np.nan
+    for a in (1, 17):
+        for sign in (1, -1):
+            ks = sign * np.arange(a, a + 8)
+            block = pert.group.power(ks[:, None, None], g)
+            for i, k in enumerate(ks):
+                assert np.array_equal(block[i], pert.group.power(int(k), g),
+                                      equal_nan=True), k
 
 
 @pytest.fixture
