@@ -382,14 +382,13 @@ def make_carnot(algebra, epsilon, name=None):
     def point_reflection(x, y):
         return mul(mul(np.asarray(x, dtype=float), neg(y)), x)
 
-    group = GroupOps(mul=mul, inv=neg, neutral=np.zeros(n))
+    group = GroupOps(mul=mul, inv=neg, neutral=np.zeros(n),
+                     delta_power=delta_power, is_morphism=True)
     return make_group_irq(group, dilation(algebra, epsilon),
                           dilation(algebra, 1.0 / epsilon),
-                          name=name or f"carnot-step{algebra.step}", dim=n,
-                          metric=metric, sample=sample, contractive=True,
-                          epsilon=epsilon, is_morphism=True,
-                          delta_power=delta_power, layer_dims=dims,
-                          point_reflection=point_reflection)
+                          name=name or f"carnot-step{algebra.step}",
+                          metric=metric, sample=sample, epsilon=epsilon,
+                          layer_dims=dims, point_reflection=point_reflection)
 
 
 def make_heisenberg(epsilon, name="heisenberg"):

@@ -52,4 +52,4 @@ def make_dihedral_quandle(n, name=None):
 
     return Irq(name=name or f"dihedral{n}", star=star, back=star,
                metric=metric, sample=sample, base=np.int64(0), size=n,
-               is_exact=True, divide=divide, level_star=level_star)
+               divide=divide, level_star=level_star)

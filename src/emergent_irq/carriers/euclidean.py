@@ -6,7 +6,7 @@ import numpy as np
 
 from ..core import _level_power
 from ..errors import CarrierConstructionError
-from .group import GroupOps, make_group_irq
+from .group import _additive_group, make_group_irq
 
 __all__ = ["make_euclidean"]
 
@@ -50,12 +50,9 @@ def make_euclidean(dim, epsilon, name=None):
     def point_reflection(x, y):
         return 2.0 * np.asarray(x, dtype=float) - y
 
-    group = GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
-                     inv=lambda a: -np.asarray(a, dtype=float),
-                     neutral=np.zeros(dim))
+    group = _additive_group(dim, delta_power=delta_power, is_morphism=True)
     return make_group_irq(group, delta, delta_inverse,
-                          name=name or f"euclidean{dim}", dim=dim,
-                          contractive=True, epsilon=epsilon, is_morphism=True,
-                          delta_power=delta_power, layer_dims=(dim,),
-                          divide=divide, point_reflection=point_reflection,
+                          name=name or f"euclidean{dim}", epsilon=epsilon,
+                          layer_dims=(dim,), divide=divide,
+                          point_reflection=point_reflection,
                           reflection_isometry=True)

@@ -14,7 +14,7 @@ family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -38,7 +38,9 @@ class GroupOps:
     inverse exists); carriers with dilations supply an exact closed form,
     which must also take m as an int array of levels that broadcasts
     against g, as the limits pass a block of levels.  ``is_morphism``
-    declares delta(gh) = delta(g)delta(h).
+    declares delta(gh) = delta(g)delta(h).  A carrier states both here,
+    on the group it hands :func:`make_group_irq`, which sets ``delta`` and
+    ``delta_inv``.
 
     Without ``delta_power``, :meth:`power` iterates delta or ``delta_inv``
     and hands them an input whose leading axis holds independent inputs:
@@ -95,14 +97,25 @@ def _conjugate(group, x, u):
     return group.mul(group.inv(x), u)
 
 
-def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
-                   sample=None, contractive=False, epsilon=None,
-                   is_morphism=False, delta_power=None, layer_dims=None,
-                   divide=None, point_reflection=None,
-                   reflection_isometry=False):
+def _additive_group(dim, **delta_fields):
+    """The abelian group (R^dim, +), with the given delta fields."""
+    return GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
+                    inv=lambda a: -np.asarray(a, dtype=float),
+                    neutral=np.zeros(dim), **delta_fields)
+
+
+def make_group_irq(group, delta, delta_inverse, *, name, metric=None,
+                   sample=None, epsilon=None, layer_dims=None, divide=None,
+                   point_reflection=None, reflection_isometry=False):
     r"""Build the irq ``x * u = x delta(x^-1 u)`` over a coordinate group.
 
-    :param group: :class:`GroupOps` without delta (any delta fields ignored).
+    The carrier's group is ``group`` with ``delta`` and ``delta_inverse``
+    as its dilation and inverse; its ``delta_power`` and ``is_morphism``
+    state what else is known of delta.  Its dimension is the last axis of
+    the neutral element, and it is uniform when given an ``epsilon``.
+
+    :param group: :class:`GroupOps`; its own ``delta`` and ``delta_inv``,
+        if any, are replaced by the two maps below.
     :param delta: the endomorphism; must fix the neutral element.
     :param delta_inverse: its inverse map.  Both maps follow the contract
         of :class:`GroupOps`: the leading axis of their input holds
@@ -112,7 +125,7 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
     :param metric: distance; defaults to Euclidean on coordinates.
     :param sample: seeded ball sampler; defaults to a Euclidean ball
         around the neutral element.
-    :param contractive: declares the carrier uniform.
+    :param epsilon: contraction ratio of delta; makes the carrier uniform.
     :raises CarrierConstructionError: if delta moves the neutral element.
     """
     neutral = np.asarray(group.neutral, dtype=float)
@@ -121,9 +134,7 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
         raise CarrierConstructionError(
             f"delta must fix the neutral element; moved it by {moved:.3e}")
 
-    ops = GroupOps(group.mul, group.inv, neutral, delta=delta,
-                   delta_inv=delta_inverse, delta_power=delta_power,
-                   is_morphism=is_morphism)
+    ops = replace(group, neutral=neutral, delta=delta, delta_inv=delta_inverse)
 
     if metric is None:
         def metric(x, y):
@@ -132,6 +143,7 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
     if sample is None:
         def sample(seed, count, radius):
             rng = np.random.default_rng(seed)
+            dim = neutral.shape[-1]
             direction = rng.standard_normal((count, dim))
             direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
             r = radius * rng.random((count, 1)) ** (1.0 / dim)
@@ -168,9 +180,7 @@ def make_group_irq(group, delta, delta_inverse, *, name, dim, metric=None,
         s = ops.power(k, _conjugate(ops, x, u))
         return ops.mul(x, ops.mul(s, ops.power(-k, ops.inv(s))))
 
-    return Irq(name=name, star=lambda x, u: level_star(1, x, u),
-               back=lambda x, u: level_star(-1, x, u), metric=metric,
-               sample=sample, base=neutral, dim=dim, is_uniform=contractive,
+    return Irq(name=name, metric=metric, sample=sample, base=neutral,
                epsilon=epsilon, group=ops, layer_dims=layer_dims,
                divide=divide, point_reflection=point_reflection,
                reflection_isometry=reflection_isometry,
@@ -286,9 +296,5 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
             f"inverse dilation on {name!r}: Newton step {size[0]:.3e} above "
             f"{limit[0]:.3e} after 50 iterations")
 
-    group = GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
-                     inv=lambda a: -np.asarray(a, dtype=float),
-                     neutral=np.zeros(2))
-    return make_group_irq(group, delta, delta_inverse, name=name, dim=2,
-                          contractive=True, epsilon=epsilon + eta,
-                          is_morphism=False, layer_dims=(2,))
+    return make_group_irq(_additive_group(2), delta, delta_inverse, name=name,
+                          epsilon=epsilon + eta, layer_dims=(2,))

@@ -162,9 +162,7 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
     def level_inverse(k, x, u):
         return exp_map(x, (_level_power(eps, k) - 1.0) * log_map(x, u))
 
-    return Irq(name=name, star=lambda x, u: level_star(1, x, u),
-               back=lambda x, u: level_star(-1, x, u),
-               metric=geodesic_distance, sample=sample, base=base, dim=2,
-               is_uniform=True, epsilon=epsilon, divide=divide,
-               point_reflection=reflect, reflection_isometry=True,
-               level_inverse=level_inverse, level_star=level_star)
+    return Irq(name=name, metric=geodesic_distance, sample=sample, base=base,
+               epsilon=epsilon, divide=divide, point_reflection=reflect,
+               reflection_isometry=True, level_inverse=level_inverse,
+               level_star=level_star)

@@ -78,13 +78,11 @@ def _resolve_config(file_cfg, args):
     unknown = [k for k in cfg if not isinstance(k, str)]
     if unknown:
         raise ConfigError(f"non-string config keys: {unknown}")
-    for key in ("carrier", "experiment", "seed", "samples", "tol", "out",
-                "format"):
+    for key in ("carrier", "experiment", "seed", "samples", "tol", "max_k",
+                "out", "format"):
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if getattr(args, "max_k", None) is not None:
-        cfg["max_k"] = args.max_k
 
     carrier = cfg.pop("carrier", None)
     experiment = cfg.pop("experiment", None)
@@ -179,11 +177,7 @@ def _exp_axioms(irq, cfg):
 
 
 def _limit_config(cfg, consumer_tol, margin=100.0):
-    # The inner limits only need to land well inside the tolerance their
-    # rows are judged at; insisting on the global default can sit below a
-    # carrier's numerical floor and turn every row into a non-convergence.
-    return LimitConfig(tol=max(float(consumer_tol) / margin, 1e-11),
-                       max_k=cfg["max_k"])
+    return LimitConfig.within(consumer_tol, margin, max_k=cfg["max_k"])
 
 
 def _exp_converge(irq, cfg):

@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InvalidExponentError
+from .errors import CarrierConstructionError, InvalidExponentError
 
 __all__ = [
     "MAX_ITER_EXPONENT",
@@ -70,18 +71,15 @@ class Irq:
     """An idempotent right quasigroup carrier.
 
     :param name: short identifier used in reports.
-    :param star: ``(x, u) -> x * u``, broadcasting over leading axes.
-    :param back: ``(x, u) -> x \\ u``, inverse of ``star`` in u.
     :param metric: ``(x, y) -> float array``, distance on the carrier.
     :param sample: ``(seed, count, radius) -> points`` in the metric ball of
         the given radius around ``base``; deterministic in the seed.
     :param base: distinguished point (group neutral, ball center).
-    :param dim: coordinate dimension, or None for labeled finite carriers.
+    :param star: ``(x, u) -> x * u``, broadcasting over leading axes;
+        defaults to ``level_star`` at 1.
+    :param back: ``(x, u) -> x \\ u``, inverse of ``star`` in u; defaults
+        to ``level_star`` at -1.
     :param size: cardinality for finite carriers, else None.
-    :param is_uniform: whether the iterated operations admit limits
-        (contractive star), enabling the emergent operations.
-    :param is_exact: whether the operations are exact (integer) arithmetic;
-        identity checks then demand zero residual and may enumerate.
     :param epsilon: contraction ratio of ``star(x, .)`` when there is one.
     :param group: optional group structure behind the operations
         (a ``carriers.group.GroupOps``), used by oracles and division.
@@ -115,6 +113,11 @@ class Irq:
         level costs one carrier step instead of |k|.  ``make_group_irq``
         sets it even without a closed-form ``delta_power``; a level then
         costs |k| dilation steps.
+    :raises CarrierConstructionError: when ``star`` or ``back`` is omitted
+        and there is no ``level_star`` to take it from.
+
+    The carrier's dimension, uniformity and exactness follow from the
+    fields above (see :attr:`dim`, :attr:`is_uniform`, :attr:`is_exact`).
 
     On a uniform carrier with ``level_star``, the limits hand the four
     level hooks a block of levels at once: k is then an int array shaped to
@@ -128,15 +131,12 @@ class Irq:
     """
 
     name: str
-    star: Callable[..., Any]
-    back: Callable[..., Any]
     metric: Callable[..., Any]
     sample: Callable[..., Any]
     base: Any
-    dim: int | None = None
+    star: Callable[..., Any] | None = None
+    back: Callable[..., Any] | None = None
     size: int | None = None
-    is_uniform: bool = False
-    is_exact: bool = False
     epsilon: float | None = None
     group: Any = None
     layer_dims: tuple[int, ...] | None = None
@@ -147,6 +147,34 @@ class Irq:
     level_sum: Callable[..., Any] | None = None
     level_inverse: Callable[..., Any] | None = None
     level_star: Callable[..., Any] | None = None
+
+    def __post_init__(self):
+        for op, k in (("star", 1), ("back", -1)):
+            if getattr(self, op) is None:
+                if self.level_star is None:
+                    raise CarrierConstructionError(
+                        f"carrier {self.name!r} needs {op} or level_star")
+                object.__setattr__(self, op, partial(self.level_star, k))
+
+    @property
+    def dim(self):
+        """Coordinate dimension, the last axis of ``base``; None for a
+        labeled finite carrier, whose base is a scalar label."""
+        shape = np.shape(self.base)
+        return shape[-1] if shape else None
+
+    @property
+    def is_uniform(self):
+        """Whether ``star(x, .)`` contracts with a ratio ``epsilon``, so the
+        iterated operations admit limits and the emergent operations exist."""
+        return self.epsilon is not None
+
+    @property
+    def is_exact(self):
+        """Whether the carrier is finite (it has a ``size``): its operations
+        are exact integer arithmetic, so identity checks demand zero
+        residual and may enumerate."""
+        return self.size is not None
 
 
 def _require_level(k):
@@ -354,7 +382,7 @@ def sample_tuples(irq, seed, count, radius, arity):
     labels; any other carrier splits one ``irq.sample(seed, arity * count,
     radius)`` draw into ``arity`` batches of ``count`` points.
     """
-    if irq.is_exact and irq.size is not None and irq.size ** arity <= 20000:
+    if irq.is_exact and irq.size ** arity <= 20000:
         grids = np.meshgrid(*([np.arange(irq.size)] * arity), indexing="ij")
         return [g.reshape(-1) for g in grids]
     pts = irq.sample(seed, arity * count, radius)

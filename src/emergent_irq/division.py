@@ -197,6 +197,9 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
                       expansion_floor=1e-3, isometry=None):
     """Check the symmetric-space axioms for the limit inversion inv_inf.
 
+    The inversion limits run at ``cfg``, by default at a quarter of the
+    check tolerance (:meth:`LimitConfig.within`).
+
     Reports:
 
     * ``L1``: inv(x, x) = x;
@@ -219,10 +222,7 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
     if not irq.is_uniform:
         raise UnsupportedCarrierError(
             f"check_loos_axioms needs a uniform carrier; {irq.name!r} is not")
-    # The inversion limits only need accuracy comparable to the check
-    # tolerance; demanding much more can push carriers with a shallow
-    # numerical floor into a spurious non-convergence.
-    cfg = cfg or LimitConfig(tol=max(float(tol) / 4.0, 1e-11))
+    cfg = cfg or LimitConfig.within(tol, 4.0)
     x, y, z = sample_tuples(irq, seed, samples, radius, 3)
     n = int(np.shape(x)[0])
 

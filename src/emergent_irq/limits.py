@@ -73,6 +73,17 @@ class LimitConfig:
                 f"max_k = {self.max_k} leaves no room for a window of "
                 f"{self.cauchy_window}")
 
+    @classmethod
+    def within(cls, tol, margin, **fields):
+        """Config for inner limits whose values are judged at ``tol``.
+
+        They only need to land well inside that tolerance, at ``tol /
+        margin`` floored at 1e-11; insisting on the global default can sit
+        below a carrier's numerical floor and turn every row into a
+        non-convergence.  ``fields`` set the other fields.
+        """
+        return cls(tol=max(float(tol) / margin, 1e-11), **fields)
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -148,11 +159,13 @@ def limit(irq, value_at, cfg, what):
     ``level_star``, whose own star and back may judge convergence over
     the whole block, and from the first block that raises a library error
     on: that block's levels are evaluated again one by one, so the error
-    comes from the level where a one-level loop meets it.  A group carrier without a closed-form dilation power (the
-    perturbed plane) runs each block as one chain of dilation steps, and
-    a block whose input has no level axis as the int-level chain.  The
-    steps are scanned level by level, so the value, stop level, trail and
-    errors are those of evaluating one level at a time.
+    comes from the level where a one-level loop meets it.
+
+    A group carrier without a closed-form dilation power (the perturbed
+    plane) runs each block as one chain of dilation steps, and a block
+    whose input has no level axis as the int-level chain.  The steps are
+    scanned level by level, so the value, stop level, trail and errors are
+    those of evaluating one level at a time.
 
     :returns: (value, :class:`ConvergenceReport`).
     :raises NonConvergenceError: when the trail bottoms out above the

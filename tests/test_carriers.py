@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
-from emergent_irq.carriers import (GradedLieAlgebra, GroupOps, build_carrier,
+from emergent_irq.carriers import (GradedLieAlgebra, build_carrier,
                                    carrier_registry, engel_algebra,
                                    exp_map, geodesic_distance,
                                    heisenberg_algebra, homogeneous_norm,
@@ -19,6 +19,7 @@ from emergent_irq.carriers import (GradedLieAlgebra, GroupOps, build_carrier,
                                    make_hyperbolic, make_perturbed_plane,
                                    reflect)
 from emergent_irq.carriers.carnot import bch_product, dilation
+from emergent_irq.carriers.group import _additive_group
 from emergent_irq.core import star_k
 from emergent_irq.errors import (CarrierConstructionError, InvalidPointError,
                                  NonConvergenceError, UnsupportedCarrierError)
@@ -717,12 +718,54 @@ def test_carriers_compare_and_hash_by_identity():
 
 
 def test_group_irq_rejects_delta_moving_neutral():
-    group = GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
-                     inv=lambda a: -np.asarray(a, dtype=float),
-                     neutral=np.zeros(1))
     with pytest.raises(CarrierConstructionError, match="neutral"):
-        make_group_irq(group, lambda g: g + 1.0, lambda g: g - 1.0,
-                       name="shifted", dim=1)
+        make_group_irq(_additive_group(1), lambda g: g + 1.0,
+                       lambda g: g - 1.0, name="shifted")
+
+
+def test_group_irq_reads_delta_facts_from_its_group():
+    # make_group_irq keeps the closed-form power and the morphism flag that
+    # its GroupOps states, and its level star runs through that power.
+    calls = []
+
+    def delta_power(m, g):
+        calls.append(m)
+        return 0.5 ** m * np.asarray(g, dtype=float)
+
+    group = _additive_group(2, delta_power=delta_power, is_morphism=True)
+    irq = make_group_irq(group, lambda g: 0.5 * np.asarray(g, dtype=float),
+                         lambda g: 2.0 * np.asarray(g, dtype=float),
+                         name="stated", epsilon=0.5)
+    assert irq.group.delta_power is delta_power and irq.group.is_morphism
+    x, u = np.array([1.0, -1.0]), np.array([3.0, 1.0])
+    assert np.array_equal(irq.level_star(3, x, u), x + 0.125 * (u - x))
+    assert calls == [3]
+
+
+_FILIFORM4 = GradedLieAlgebra.from_brackets((2, 1, 1, 1), [
+    (0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (0, 3, {4: 1.0})])
+
+# Every bundled carrier with its dimension, uniformity and exactness.
+CARRIER_FACTS = [
+    (build_carrier("euclidean"), 1, True, False),
+    (make_euclidean(3, 0.5), 3, True, False),
+    (build_carrier("dihedral"), None, False, True),
+    (make_dihedral_quandle(9), None, False, True),
+    (make_heisenberg(0.5), 3, True, False),
+    (make_engel(0.5), 4, True, False),
+    (make_carnot(_FILIFORM4, 0.5), 5, True, False),
+    (make_hyperbolic(0.5), 2, True, False),
+    (make_perturbed_plane(), 2, True, False),
+]
+
+
+@pytest.mark.parametrize("irq,dim,uniform,exact", CARRIER_FACTS,
+                         ids=[facts[0].name for facts in CARRIER_FACTS])
+def test_carrier_facts_follow_from_its_fields(irq, dim, uniform, exact):
+    # The dimension is the base point's last axis, a carrier is uniform
+    # when it has an epsilon and exact when it has a size.
+    assert irq.dim == dim and irq.is_uniform is uniform
+    assert irq.is_exact is exact
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,31 @@ from emergent_irq.carriers import (GradedLieAlgebra, make_carnot,
                                    make_euclidean, make_heisenberg,
                                    make_hyperbolic, make_perturbed_plane)
 from emergent_irq.core import (DEFAULT_LEVELS, MAX_ITER_EXPONENT, AxiomReport,
-                               _iterate, back_k, check_irq_axioms,
+                               Irq, _iterate, back_k, check_irq_axioms,
                                difference_k, identity_names, inverse_k,
                                star_k, sum_k)
 from emergent_irq.division import check_involution, right_divide_k
-from emergent_irq.errors import EmergentAlgebraError, InvalidExponentError
+from emergent_irq.errors import (CarrierConstructionError,
+                                 EmergentAlgebraError, InvalidExponentError)
 from emergent_irq.limits import check_distributive
+
+
+def test_carrier_needs_star_or_level_star():
+    # Star and back default to the level star at 1 and -1; without one, the
+    # carrier is refused when it is built, not when it is first used.
+    def metric(x, y):
+        return np.abs(np.asarray(x) - y)
+
+    def sample(seed, count, radius):
+        return np.zeros(count)
+
+    with pytest.raises(CarrierConstructionError, match="star"):
+        Irq(name="bare", metric=metric, sample=sample, base=0.0)
+    with pytest.raises(CarrierConstructionError, match="back"):
+        Irq(name="half", metric=metric, sample=sample, base=0.0,
+            star=lambda x, u: u)
+    fields = {f.name for f in dataclasses.fields(Irq)}
+    assert not fields & {"dim", "is_uniform", "is_exact"}
 
 
 def test_level_validation_rejects_bad_exponents():

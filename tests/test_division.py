@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from emergent_irq.carriers import (GradedLieAlgebra, GroupOps, build_carrier,
+from emergent_irq.carriers import (GradedLieAlgebra, build_carrier,
                                    carrier_registry, make_carnot,
                                    make_dihedral_quandle, make_engel,
                                    make_euclidean, make_group_irq,
                                    make_heisenberg, make_hyperbolic,
                                    make_perturbed_plane, reflect)
+from emergent_irq.carriers.group import _additive_group
 from emergent_irq.core import inverse_k, star_k
 from emergent_irq.division import (DivisionMethod, check_involution,
                                    check_loos_axioms,
@@ -34,13 +35,11 @@ def test_division_method_validation():
 
 
 def _bare_carrier():
-    # A group carrier with no divide that is not declared contractive.
-    group = GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
-                     inv=lambda a: -np.asarray(a, dtype=float),
-                     neutral=np.zeros(1))
-    return make_group_irq(group, lambda g: 0.5 * np.asarray(g, dtype=float),
+    # A group carrier with no divide and no epsilon, so not uniform.
+    return make_group_irq(_additive_group(1),
+                          lambda g: 0.5 * np.asarray(g, dtype=float),
                           lambda g: 2.0 * np.asarray(g, dtype=float),
-                          name="bare", dim=1)
+                          name="bare")
 
 
 def _truncated_product(irq, k, b, a, terms=200):

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from emergent_irq import calculus, core, limits
 from emergent_irq.calculus import MapBetweenCarriers, derivative
-from emergent_irq.carriers import (GradedLieAlgebra, GroupOps, make_carnot,
+from emergent_irq.carriers import (GradedLieAlgebra, make_carnot,
                                    make_engel, make_euclidean, make_group_irq,
                                    make_heisenberg, make_hyperbolic,
                                    make_perturbed_plane)
+from emergent_irq.carriers.group import _additive_group
 from emergent_irq.core import back_k, difference_k, inverse_k, star_k, sum_k
 from emergent_irq.errors import (EmergentAlgebraError, InvalidPointError,
                                  NonConvergenceError)
@@ -126,13 +127,10 @@ def _general_step2():
 def _iterated_plane():
     # A group carrier without a closed-form power whose delta and inverse
     # act elementwise: its blocks run as one chain of plain delta steps.
-    group = GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
-                     inv=lambda a: -np.asarray(a, dtype=float),
-                     neutral=np.zeros(2))
-    return make_group_irq(group, lambda g: 0.5 * np.asarray(g, dtype=float),
+    return make_group_irq(_additive_group(2, is_morphism=True),
+                          lambda g: 0.5 * np.asarray(g, dtype=float),
                           lambda g: 2.0 * np.asarray(g, dtype=float),
-                          name="iterated", dim=2, contractive=True,
-                          epsilon=0.5, is_morphism=True)
+                          name="iterated", epsilon=0.5)
 
 
 # Every bundled uniform carrier, one more Carnot algebra and one iterated

@@ -27,6 +27,11 @@ def test_limit_config_validation():
         LimitConfig(cauchy_window=0)
     with pytest.raises(ValueError):
         LimitConfig(max_k=3, cauchy_window=3)
+    # Inner limits land inside the tolerance they are judged at by a
+    # margin, floored at 1e-11.
+    assert LimitConfig.within(1e-8, 4.0) == LimitConfig(tol=2.5e-9)
+    assert (LimitConfig.within(1e-10, 100.0, max_k=50)
+            == LimitConfig(tol=1e-11, max_k=50))
 
 
 def test_euclidean_emergent_closed_forms():
