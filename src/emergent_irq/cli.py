@@ -176,14 +176,18 @@ def _exp_axioms(irq, cfg):
                          radius=cfg["radius"], tol=cfg["tol"])))
 
 
-def _limit_config(cfg, consumer_tol, margin=100.0):
-    return LimitConfig.within(consumer_tol, margin, max_k=cfg["max_k"])
+def _limit_config(cfg, consumer_tol, margin=100.0, extrapolate=True):
+    """Limits for rows that use only a limit's value, Richardson-extrapolated
+    where the carrier allows; ``extrapolate=False`` keeps the raw levels
+    for rows that report a limit's stop level or rate."""
+    return LimitConfig.within(consumer_tol, margin, max_k=cfg["max_k"],
+                              extrapolate=extrapolate)
 
 
 def _exp_converge(irq, cfg):
     _need_uniform(irq, "converge")
     x, u, v = sample_tuples(irq, cfg["seed"], cfg["samples"], cfg["radius"], 3)
-    lcfg = _limit_config(cfg, cfg["tol"])
+    lcfg = _limit_config(cfg, cfg["tol"], extrapolate=False)
     g = irq.group if (irq.group is not None and irq.group.is_morphism) else None
     ops = {"sum": (lambda: emergent_sum(irq, x, u, v, lcfg),
                    lambda: g.mul(g.mul(u, g.inv(x)), v)),
@@ -247,9 +251,10 @@ def _loos_rows(irq, cfg):
         reports = attempt(4.0)
     except NonConvergenceError:
         # A quarter of the row tolerance can sit below the carrier's
-        # numerical floor on the compounded points these checks form;
-        # the row tolerance itself is the loosest accuracy the rows can
-        # absorb, so retry there before failing every Loos row.
+        # numerical floor on the compounded points these checks form
+        # (carriers whose limits cannot be extrapolated, or a tight
+        # --tol); the row tolerance itself is the loosest accuracy the
+        # rows can absorb, so retry there before failing every Loos row.
         reports = attempt(1.0)
     return _report_rows(reports)
 
@@ -265,7 +270,9 @@ def _exp_symmetric(irq, cfg):
 
 def _exp_derivative(irq, cfg):
     _need_uniform(irq, "derivative")
-    lcfg = _limit_config(cfg, cfg["tol"], 10.0)
+    # Tf-id and Tf-delta report their limit's stop level (and rate), so
+    # they keep the raw levels; Tf-morphism uses only values.
+    lcfg = _limit_config(cfg, cfg["tol"], 10.0, extrapolate=False)
     x = irq.base
     u = irq.sample(cfg["seed"], cfg["samples"], cfg["radius"])
     n, tol, g = cfg["samples"], cfg["tol"], irq.group
@@ -292,7 +299,8 @@ def _exp_derivative(irq, cfg):
         target = MapBetweenCarriers(irq, irq, g.delta, name="delta")
         rows += _guard(cfg, ["Tf-delta"], cfg["max_k"], tf_delta, target)
     rows += _guard(cfg, ["Tf-morphism"], None, lambda: _report_rows(
-        [check_derivative_morphism(target, x, lcfg, tol=tol,
+        [check_derivative_morphism(target, x,
+                                   _limit_config(cfg, tol, 10.0), tol=tol,
                                    **_sampling(cfg))]))
     return rows
 

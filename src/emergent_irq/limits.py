@@ -57,11 +57,20 @@ class LimitConfig:
     successive distances d(value_k, value_{k+1}) all fall at or below
     ``tol`` (max over the batch); exceeding ``max_k`` first raises
     :class:`NonConvergenceError`.
+
+    ``extrapolate`` judges, on a carrier with a ``group`` and an
+    ``epsilon``, the Richardson sequence w_k = (v_{k+1} - eps v_k) / (1 -
+    eps) of the level-k values v_k in group coordinates instead of v_k
+    itself.  It removes the leading error term C eps^k, so the value lands
+    closer to the limit and the window closes at a shallower level; the
+    stop level and rate then describe w, not v.  It has no effect on a
+    carrier without a group.
     """
 
     tol: float = 1e-11
     max_k: int = 200
     cauchy_window: int = 3
+    extrapolate: bool = False
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -141,6 +150,28 @@ def _cauchy_steps(irq, chain):
     return np.max(np.reshape(d, (len(chain) - 1, -1)), axis=1)
 
 
+def _richardson(value_at, eps):
+    """``value_at`` turned into the Richardson values of its levels.
+
+    Levels a .. b of the result need the raw levels a .. b + 1; the raw
+    value at a is the one the previous call ended on, when that call
+    covered a - 1 (a re-run of the same range reuses it as well).
+    """
+    last = {}
+
+    def extrapolated(ks):
+        a, b = int(ks[0]), int(ks[-1])
+        if a in last:
+            raw = np.concatenate([last[a][None], value_at(ks + 1)])
+        else:
+            raw = value_at(np.arange(a, b + 2))
+        last.clear()
+        last[b + 1] = raw[-1]
+        return (raw[1:] - eps * raw[:-1]) / (1.0 - eps)
+
+    return extrapolated
+
+
 def limit(irq, value_at, cfg, what):
     """Limit of the level-k values ``value_at`` gives as k grows.
 
@@ -149,6 +180,13 @@ def limit(irq, value_at, cfg, what):
     at the first level k where the last ``cfg.cauchy_window`` steps
     d(value_{k-1}, value_k) are all within ``cfg.tol``; ``what`` names the
     limit in error messages.
+
+    With ``cfg.extrapolate`` on a carrier with a group, value_k is the
+    Richardson value w_k built from the raw levels k and k + 1 (see
+    :class:`LimitConfig`), and everything below judges w.  A block of
+    levels a .. b asks ``value_at`` for raw levels up to b + 1, reusing the
+    previous block's last raw level, so the highest raw level requested is
+    ``cfg.max_k + 1``.
 
     Levels are requested in blocks, never past twice the depth reached.
     The first is 1 .. window + 1.  When the last step is a new low of the
@@ -176,6 +214,8 @@ def limit(irq, value_at, cfg, what):
     """
     cfg = cfg or LimitConfig()
     window, max_k = int(cfg.cauchy_window), int(cfg.max_k)
+    if cfg.extrapolate and irq.group is not None and irq.is_uniform:
+        value_at = _richardson(value_at, float(irq.epsilon))
     one_level = irq.level_star is None
     trail = []
     floor, floor_k = float("inf"), 0
@@ -214,10 +254,11 @@ def limit(irq, value_at, cfg, what):
             # Rounding noise in deep-level iterates grows geometrically and
             # can later saturate into a spuriously constant value; a Cauchy
             # window would then close on that artifact.  A trail that
-            # bottoms out above tol and regrows a thousandfold is past its
+            # bottoms out and regrows a thousandfold above tol is past its
             # usable depth, so fail loudly with the achievable floor
-            # instead.
-            if floor > cfg.tol and step > 1e3 * floor:
+            # instead.  A dip to or below tol does not disarm this: the
+            # window has not closed, and the trail may still regrow.
+            if step > 1e3 * max(floor, cfg.tol):
                 raise NonConvergenceError(
                     f"{what} on {irq.name!r}: residual trail bottomed out "
                     f"near {floor:.3e} at level {floor_k} and regrew "

@@ -310,11 +310,19 @@ PERTURBED_SYMMETRIC = ["6.5", "6.6", "6.8", "L1", "L2", "L2-underline",
 @pytest.mark.parametrize("carrier", ["euclidean", "heisenberg", "perturbed"])
 def test_limit_failures_keep_their_rows(capsys, carrier, experiment):
     # At max_k 5 the limits cannot settle; every row that needs one fails
-    # under its own name, and the other rows stay.
+    # under its own name, and the other rows stay.  On the linear euclidean
+    # carrier one Richardson step is exact, so the limits of the rows that
+    # use only a limit's value settle by level 4 and every row passes.
     argv = ["run", "--carrier", carrier, "--experiment", experiment,
             "--samples", "20"]
     rc, out, err = run(capsys, argv + ["--max-k", "5"])
-    assert rc == 1, err
+    if carrier == "euclidean" and experiment in ("reconstruct", "symmetric",
+                                                 "derivative"):
+        assert rc == 0, err
+        assert all(line.endswith(",true")
+                   for line in out.strip().split("\n")[1:])
+    else:
+        assert rc == 1, err
     if (carrier, experiment) == ("perturbed", "symmetric"):
         expected = PERTURBED_SYMMETRIC
     else:

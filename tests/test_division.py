@@ -321,6 +321,19 @@ def test_perturbed_loos_axioms():
         check_loos_axioms(pert, LimitConfig(tol=1e-9), samples=30)
 
 
+def test_perturbed_loos_axioms_extrapolated():
+    # Richardson-extrapolated limits land well below the raw floor: at the
+    # CLI's quarter-tolerance config every row passes (L3 is the largest,
+    # 4.5e-10), where the raw limits raise.
+    pert = make_perturbed_plane(0.5, 0.1)
+    reports = check_loos_axioms(pert, LimitConfig.within(1e-8, 4.0,
+                                                         extrapolate=True))
+    assert len(reports) == 7
+    for r in reports:
+        assert r.passed and r.max_residual <= 1e-9, (r.identity,
+                                                     r.max_residual)
+
+
 def test_hyperbolic_loos_axioms():
     hyp = make_hyperbolic(0.5)
     reports = check_loos_axioms(hyp, samples=30)

@@ -4,7 +4,9 @@
 their Cauchy steps level by level.  Every result must be the one the plain
 loop below gives, evaluating one level per iteration through the public
 level operations: the same value bytes, stop level, trail and rate, or the
-same error with the same message and trail.
+same error with the same message and trail.  Under
+``LimitConfig.extrapolate`` the plain loop's level k is the Richardson
+value of the public levels k and k + 1.
 """
 
 import dataclasses
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 from emergent_irq import calculus, core, limits
 from emergent_irq.calculus import MapBetweenCarriers, derivative
 from emergent_irq.carriers import (GradedLieAlgebra, make_carnot,
-                                   make_engel, make_euclidean, make_group_irq,
+                                   make_dihedral_quandle, make_engel,
+                                   make_euclidean, make_group_irq,
                                    make_heisenberg, make_hyperbolic,
                                    make_perturbed_plane)
 from emergent_irq.carriers.group import _additive_group
@@ -33,6 +36,13 @@ from emergent_irq.limits import (ConvergenceReport, LimitConfig,
 
 def _one_level_limit(irq, value_at, cfg, what):
     # The limit loop as it reads with one level per iteration.
+    if cfg.extrapolate and irq.group is not None and irq.is_uniform:
+        raw, eps = value_at, float(irq.epsilon)
+
+        def value_at(k):
+            low = raw(k)
+            return (raw(k + 1) - eps * low) / (1.0 - eps)
+
     def at(k):
         try:
             return value_at(k)
@@ -53,7 +63,7 @@ def _one_level_limit(irq, value_at, cfg, what):
                                           limits._estimate_rate(trail))
         if step < floor:
             floor, floor_k = step, k
-        if floor > cfg.tol and step > 1e3 * floor:
+        if step > 1e3 * max(floor, cfg.tol):
             raise NonConvergenceError(
                 f"{what} on {irq.name!r}: residual trail bottomed out "
                 f"near {floor:.3e} at level {floor_k} and regrew "
@@ -208,21 +218,29 @@ def test_derivative_at_one_basepoint_of_a_batch():
 
 def test_carrier_without_level_hooks_matches():
     # Without level_star every level iterates star or back |k| times, one
-    # level per block.
+    # level per block.  The composed difference's trail dips to 8.6e-11 at
+    # level 34 and regrows past 1 as back_k amplifies rounding by 2^k: the
+    # window never closed, so the rebound guard must raise rather than let
+    # the window close later on saturated iterates, about 0.95 from
+    # x - u + v.  Extrapolated, one step is exact on this linear carrier
+    # and every limit settles at level 4.
     eu = dataclasses.replace(make_euclidean(2, 0.5), level_star=None,
                              level_difference=None, level_sum=None,
                              level_inverse=None)
     points = tuple(eu.sample(1, 3, 1.0))
     for name in OPS:
-        _assert_same(eu, name, points, LimitConfig(tol=1e-9))
+        got = _assert_same(eu, name, points, LimitConfig(tol=1e-9))
+        if name == "emergent_difference":
+            assert got[:2] == ("error", "NonConvergenceError")
+            assert "at level 34 and regrew" in got[2]
+        got = _assert_same(eu, name, points,
+                           LimitConfig(tol=1e-9, extrapolate=True))
+        assert got[3] == 4
 
 
 def test_error_paths_match():
     # At radius 2 and the default tolerance these hyperbolic limits fail:
-    # the trails bottom out, or a level leaves the half-plane first.  At
-    # seeds 0 and 2 the difference's blocks reach levels that leave the
-    # half-plane past the level where the trail fails, so they are re-run
-    # one level at a time.
+    # their trails bottom out and regrow.
     hyp = make_hyperbolic(0.5)
     errors = set()
     for seed in range(3):
@@ -231,12 +249,27 @@ def test_error_paths_match():
             got = _assert_same(hyp, name, points, LimitConfig())
             assert got[0] == "error"
             errors.add(got[1])
-            if got[1] == "InvalidPointError":
-                # The carrier's message, prefixed with the limit, the
-                # carrier and the level.
-                assert got[2].startswith(f"{name} on 'hyperbolic' at level ")
-                assert got[2].endswith(": point lies outside the upper "
-                                       "half-plane")
+
+    # back_k doubles the distance from the base point at every level, so
+    # the point above it runs off to y = inf: level 9's step is nan, which
+    # the rebound guard cannot judge, and level 10 leaves the half-plane.
+    # The first block (levels 1 .. window + 1) holds that level, so it is
+    # re-run one level at a time and the error names level 10.
+    u = np.array([0.0, 3.0])
+    cfg = LimitConfig(tol=1e-6, cauchy_window=10, max_k=30)
+    what = "expansion"
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: _one_level_limit(
+            hyp, lambda k: back_k(hyp, k, hyp.base, u), cfg, what))
+        got = _outcome(lambda: limits.limit(
+            hyp, lambda ks: core._at_levels((hyp,), partial(core._back, hyp),
+                                            ks, hyp.base, u), cfg, what))
+    assert got == want
+    errors.add(got[1])
+    # The carrier's message, prefixed with the limit, the carrier and the
+    # level.
+    assert got[2] == ("expansion on 'hyperbolic' at level 10: point has "
+                      "non-finite coordinates")
     assert errors == {"NonConvergenceError", "InvalidPointError"}
 
     heis = make_heisenberg(0.5)
@@ -254,29 +287,34 @@ def test_newton_failure_inside_a_block_matches():
     # error is the one-level one, message and trail alike.
     pert = make_perturbed_plane(0.5, 0.1)
     u = np.array([[1e306, -3e305], [0.5, 0.2]])
-    cfg = LimitConfig(tol=1e-8, cauchy_window=10, max_k=30)
     what = "expansion"
-    requested = []
+    with np.errstate(all="ignore"), pytest.raises(NonConvergenceError):
+        pert.group.power(np.arange(-1, -12, -1).reshape(-1, 1, 1, 1), u)
+    # Levels requested per value_at call: the failing first block, then one
+    # level at a time up to the level that fails (raw level 8).
+    # Extrapolated, the first block asks for one raw level more, one-level
+    # mode starts with raw levels 1 and 2, and level 7 already needs raw
+    # level 8.
+    for extrapolate, requested_want in ((False, [11] + [1] * 8),
+                                        (True, [12, 2] + [1] * 6)):
+        cfg = LimitConfig(tol=1e-8, cauchy_window=10, max_k=30,
+                          extrapolate=extrapolate)
+        requested = []
 
-    def stacked():
         def value_at(ks):
             requested.append(len(ks))
             return core._at_levels((pert,), partial(core._back, pert), ks,
                                    pert.base, u)
-        return limits.limit(pert, value_at, cfg, what)
 
-    with np.errstate(all="ignore"):
-        want = _outcome(lambda: _one_level_limit(
-            pert, lambda k: back_k(pert, k, pert.base, u), cfg, what))
-        with pytest.raises(NonConvergenceError):
-            pert.group.power(np.arange(-1, -12, -1).reshape(-1, 1, 1, 1), u)
-        got = _outcome(stacked)
-    assert got == want
-    assert got[:2] == ("error", "NonConvergenceError")
-    assert got[2].startswith("inverse dilation on 'perturbed': Newton step")
-    # After the failing block the loop asks for one level at a time, up to
-    # the level that fails.
-    assert requested == [cfg.cauchy_window + 1] + [1] * 8
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: _one_level_limit(
+                pert, lambda k: back_k(pert, k, pert.base, u), cfg, what))
+            got = _outcome(lambda: limits.limit(pert, value_at, cfg, what))
+        assert got == want
+        assert got[:2] == ("error", "NonConvergenceError")
+        assert got[2].startswith("inverse dilation on 'perturbed': Newton "
+                                 "step")
+        assert requested == requested_want
 
 
 def test_failing_limit_stops_requesting_levels_where_it_raises():
@@ -320,6 +358,68 @@ def test_shared_input_block_matches_one_level_powers():
             for i, k in enumerate(ks):
                 assert np.array_equal(block[i], pert.group.power(int(k), g),
                                       equal_nan=True), k
+
+
+@pytest.mark.parametrize("irq,radius,tol", UNIFORM,
+                         ids=[irq.name for irq, _, _ in UNIFORM])
+def test_extrapolated_limits_match_one_level_loop(irq, radius, tol):
+    cfg = LimitConfig(tol=tol, extrapolate=True)
+    pts = irq.sample(0, 18, radius)
+    for points in (tuple(pts[:3]), (pts[:6], pts[6:12], pts[12:])):
+        for name in OPS:
+            _assert_same(irq, name, points, cfg)
+        for fn in _maps(irq):
+            _assert_same(irq, "derivative", points, cfg, fn)
+
+
+def test_extrapolated_blocks_request_each_raw_level_once():
+    # Level k needs raw levels k and k + 1; a block reuses the raw level
+    # its predecessor ended on, so the raw levels requested are 1, 2, ...
+    # without repeats, and a limit that runs out of levels has asked for
+    # raw level max_k + 1 and none above it.
+    heis = make_heisenberg(0.5)
+    x, u, v = heis.sample(0, 3, 2.0)
+    requested = []
+
+    def value_at(ks):
+        requested.extend(int(k) for k in ks)
+        return core._at_levels((heis,), partial(core._sum, heis), ks, x, u, v)
+
+    cfg = LimitConfig(tol=1e-10, extrapolate=True)
+    _, rep = limits.limit(heis, value_at, cfg, "emergent_sum")
+    assert requested == list(range(1, len(requested) + 1))
+    assert rep.stop_k + 1 <= len(requested) <= 2 * rep.stop_k + 1
+    requested.clear()
+    with pytest.raises(NonConvergenceError, match="max_k=12"):
+        limits.limit(heis, value_at, dataclasses.replace(cfg, max_k=12),
+                     "emergent_sum")
+    assert requested == list(range(1, 14))
+
+
+def test_extrapolate_leaves_carriers_without_a_group_raw():
+    # The hyperbolic plane and the dihedral quandle have no group chart to
+    # extrapolate in, so the field changes no bit of their limits.
+    hyp = make_hyperbolic(0.5)
+    for seed in range(2):
+        points = tuple(hyp.sample(seed, 3, 0.5))
+        for name in OPS:
+            raw = _outcome(lambda: _stacked(hyp, name, points,
+                                            LimitConfig(tol=1e-6)))
+            assert raw[2] is True
+            assert _outcome(lambda: _stacked(
+                hyp, name, points,
+                LimitConfig(tol=1e-6, extrapolate=True))) == raw
+
+    dih = make_dihedral_quandle(7)
+    x, u, v = dih.sample(0, 3, 1.0)
+    for points, stop in (((x, x, x), True), ((x, u, v), False)):
+        def parity(cfg):
+            return limits.limit(dih, lambda ks: np.stack(
+                [sum_k(dih, int(k), *points) for k in ks]), cfg, "parity")
+        raw = _outcome(lambda: parity(LimitConfig(max_k=8)))
+        assert (raw[0] != "error") is stop
+        assert _outcome(lambda: parity(
+            LimitConfig(max_k=8, extrapolate=True))) == raw
 
 
 @pytest.fixture

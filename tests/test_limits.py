@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from emergent_irq.carriers import (make_dihedral_quandle, make_euclidean,
-                                   make_heisenberg, make_perturbed_plane)
+from emergent_irq.carriers import (GradedLieAlgebra, make_carnot,
+                                   make_dihedral_quandle, make_engel,
+                                   make_euclidean, make_heisenberg,
+                                   make_perturbed_plane)
 from emergent_irq.errors import (DistributivityError, NonConvergenceError,
                                  UnsupportedCarrierError)
 from emergent_irq.limits import (ConvergenceReport, LimitConfig,
@@ -55,6 +57,42 @@ def test_euclidean_emergent_closed_forms():
         assert rep.stop_k == len(rep.residual_trail) + 1
         window = rep.residual_trail[-3:]
         assert all(r <= 1e-11 for r in window)
+
+
+def test_extrapolated_euclidean_limits_are_exact():
+    # The level-k error on a linear carrier is exactly C eps^k, which one
+    # Richardson step removes: the window closes on the first three steps.
+    eu = make_euclidean(2, 0.5)
+    x = np.array([0.3, -0.7])
+    u = np.array([1.1, 0.4])
+    v = np.array([-0.5, 0.9])
+    cfg = LimitConfig(extrapolate=True)
+    for (value, rep), want in ((emergent_difference(eu, x, u, v, cfg),
+                                x - u + v),
+                               (emergent_sum(eu, x, u, v, cfg), u - x + v),
+                               (emergent_inverse(eu, x, u, cfg), 2 * x - u)):
+        assert rep.stop_k <= 4
+        assert float(np.max(np.abs(value - want))) <= 1e-14
+
+
+@pytest.mark.parametrize("irq", [
+    make_heisenberg(0.5), make_engel(0.5),
+    make_carnot(GradedLieAlgebra.from_brackets(
+        (2, 1, 1, 1), [(0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (0, 3, {4: 1.0})]),
+        0.5, name="filiform4")], ids=lambda irq: irq.name)
+def test_extrapolated_carnot_limits_match_oracles(irq):
+    # Against u x^-1 v, x u^-1 v and x u^-1 x: the extrapolated limits stop
+    # at levels 19-20 instead of 35-38 and land within 1.6e-12 (raw 2.5e-11).
+    g = irq.group
+    x, u, v = irq.sample(3, 3, 2.0)
+    cases = ((emergent_sum, (x, u, v), g.mul(g.mul(u, g.inv(x)), v)),
+             (emergent_difference, (x, u, v), g.mul(g.mul(x, g.inv(u)), v)),
+             (emergent_inverse, (x, u), g.mul(g.mul(x, g.inv(u)), x)))
+    for op, points, want in cases:
+        value, rep = op(irq, *points, LimitConfig(tol=1e-10, extrapolate=True))
+        _, raw = op(irq, *points, LimitConfig(tol=1e-10))
+        assert rep.stop_k <= raw.stop_k - 10, op.__name__
+        assert float(irq.metric(value, want)) <= 5e-12, op.__name__
 
 
 def test_heisenberg_convergence_rate():
