@@ -279,7 +279,13 @@ def engel_algebra():
 
 
 def bch_product(algebra):
-    """Group product of the Carnot group, exact for step <= 4."""
+    """Group product of the Carnot group, exact for step <= 4.
+
+    With c1 = [x, y] and xc = [x, c1], bilinearity folds the series'
+    brackets: the step-3 tail is [x - y, c1] / 12, and through step 4 it
+    is (xc - [y, c1 + xc / 2]) / 12.  A product costs step - 1 brackets
+    (one at step 2, two at step 3, three at step 4).
+    """
     step = algebra.step
     br = algebra.bracket
 
@@ -290,11 +296,11 @@ def bch_product(algebra):
         if step >= 2:
             c1 = br(x, y)
             z = z + 0.5 * c1
-        if step >= 3:
+        if step == 3:
+            z = z + br(x - y, c1) / 12.0
+        elif step >= 4:
             xc = br(x, c1)
-            z = z + (xc - br(y, c1)) / 12.0
-        if step >= 4:
-            z = z - br(y, xc) / 24.0
+            z = z + (xc - br(y, c1 + 0.5 * xc)) / 12.0
         return z
 
     return mul
@@ -351,7 +357,10 @@ def make_carnot(algebra, epsilon, name=None):
     """Uniform irq x * u = x delta_eps(x^-1 u) on the Carnot group of algebra.
 
     Requires 0 < epsilon < 1.  The metric is the layer-max norm of x^-1 y
-    and the sampler rejection-samples its ball around the origin.
+    and the sampler rejection-samples its ball around the origin.  Right
+    division is closed-form: the graded back-substitution solves
+    y *_k a = b layer by layer in step + 1 products, exactly in real
+    arithmetic.
     """
     if not isinstance(algebra, GradedLieAlgebra):
         algebra = load_algebra(algebra)
@@ -382,13 +391,29 @@ def make_carnot(algebra, epsilon, name=None):
     def point_reflection(x, y):
         return mul(mul(np.asarray(x, dtype=float), neg(y)), x)
 
+    def divide(k, b, a):
+        # y *_k a = b with y = b m^-1 and c = b^-1 a reads m = delta^k(m c).
+        # Layer j of m c is m_j + q_j, where q = m_{<j} c (m's layers below
+        # j, zero from j on) holds brackets of lower layers only, so
+        # m_j = eps^(jk) q_j / (1 - eps^(jk)), one layer after another.
+        if k < 0:
+            k, b, a = -k, a, b
+        c = mul(neg(b), a)
+        m = np.zeros_like(c)
+        for j, sl in enumerate(_layer_slices(dims), start=1):
+            q = c if j == 1 else mul(m, c)
+            scale = epsilon ** (j * k)
+            m[..., sl] = scale / (1.0 - scale) * q[..., sl]
+        return mul(b, neg(m))
+
     group = GroupOps(mul=mul, inv=neg, neutral=np.zeros(n),
                      delta_power=delta_power, is_morphism=True)
     return make_group_irq(group, dilation(algebra, epsilon),
                           dilation(algebra, 1.0 / epsilon),
                           name=name or f"carnot-step{algebra.step}",
                           metric=metric, sample=sample, epsilon=epsilon,
-                          layer_dims=dims, point_reflection=point_reflection)
+                          layer_dims=dims, divide=divide,
+                          point_reflection=point_reflection)
 
 
 def make_heisenberg(epsilon, name="heisenberg"):

@@ -46,9 +46,8 @@ def make_dihedral_quandle(n, name=None):
         return np.mod((np.asarray(a) + np.asarray(b)) * half, n)
 
     def level_star(k, x, u):
-        if k % 2:
-            return star(x, u)
-        return np.mod(np.broadcast_arrays(x, u)[1], n)
+        # Elementwise in k, so a block of levels evaluates in one call.
+        return np.where(k % 2, star(x, u), np.mod(u, n))
 
     return Irq(name=name or f"dihedral{n}", star=star, back=star,
                metric=metric, sample=sample, base=np.int64(0), size=n,

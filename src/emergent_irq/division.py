@@ -4,11 +4,15 @@ Right division upgrades the irq to a quasigroup at every level: y = b /_k a
 is the solution of y *_k a = b.  Two methods are supported:
 
 * ``closed_form``: the carrier solves directly (Euclidean, hyperbolic,
-  dihedral);
+  dihedral, Carnot).  On a Carnot group, y = b m^-1 with c = b^-1 a and
+  m = delta^k(m c) solved layer by layer: layer j of m c is m_j plus
+  brackets of lower layers, so m_j = eps^(jk) q_j / (1 - eps^(jk)) with
+  q = m_{<j} c, exact in real arithmetic;
 * ``fixed_point``: on a uniform group carrier, y = b m^-1 where m is the
   fixed point of the contraction m <- delta^k(m b^-1 a), iterated from
   delta^k(b^-1 a).  For a morphism delta the iterates are the partial
-  products delta^(pk)(b^-1 a) ... delta^k(b^-1 a).
+  products delta^(pk)(b^-1 a) ... delta^k(b^-1 a).  It is the default on
+  a group carrier without a closed form (the perturbed plane).
 
 Negative levels reduce to positive ones through b /_k a = a /_(-k) b.
 Every method ends with the residual check d(star_k(y, a), b) <= tol.

@@ -206,9 +206,10 @@ def limit(irq, value_at, cfg, what):
     those of evaluating one level at a time.
 
     :returns: (value, :class:`ConvergenceReport`).
-    :raises NonConvergenceError: when the trail bottoms out above the
-        tolerance and regrows a thousandfold (the message names both
-        levels), or does not settle by ``cfg.max_k``.
+    :raises NonConvergenceError: when the trail bottoms out and regrows
+        a thousandfold above the larger of its floor and the tolerance
+        (the message names both levels, and says whether the floor lay
+        above the tolerance), or does not settle by ``cfg.max_k``.
     :raises InvalidPointError: when a level's value leaves the carrier;
         the message names the limit, the carrier and the level.
     """
@@ -257,14 +258,22 @@ def limit(irq, value_at, cfg, what):
             # bottoms out and regrows a thousandfold above tol is past its
             # usable depth, so fail loudly with the achievable floor
             # instead.  A dip to or below tol does not disarm this: the
-            # window has not closed, and the trail may still regrow.
+            # window has not closed, and the trail may still regrow; the
+            # message then names the regrowth past tol, as such a floor
+            # says nothing of the carrier's precision.
             if step > 1e3 * max(floor, cfg.tol):
+                level = len(trail) + 1
+                if floor > cfg.tol:
+                    how = (f"1000-fold by level {level}; either no limit "
+                           f"exists here or tol {cfg.tol:.1e} is below the "
+                           f"carrier's numerical floor")
+                else:
+                    how = (f"1000-fold past tol {cfg.tol:.1e} by level "
+                           f"{level}, before the Cauchy window closed")
                 raise NonConvergenceError(
                     f"{what} on {irq.name!r}: residual trail bottomed out "
-                    f"near {floor:.3e} at level {floor_k} and regrew "
-                    f"1000-fold by level {len(trail) + 1}; either no limit "
-                    f"exists here or tol {cfg.tol:.1e} is below the "
-                    f"carrier's numerical floor", trail)
+                    f"near {floor:.3e} at level {floor_k} and regrew {how}",
+                    trail)
         prev = chain[-1]
         done = int(ks[-1])
     raise NonConvergenceError(

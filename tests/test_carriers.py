@@ -289,6 +289,46 @@ def _random_step2(seed, d1, d2, empty_last):
     return GradedLieAlgebra.from_brackets((d1, d2), entries)
 
 
+def _bch_written_out(alg, x, y):
+    # The truncated BCH series term by term: one bracket per term.
+    br = alg.bracket
+    c1 = br(x, y)
+    z = x + y + 0.5 * c1
+    xc = br(x, c1)
+    z = z + (xc - br(y, c1)) / 12.0
+    if alg.step >= 4:
+        z = z - br(y, xc) / 24.0
+    return z
+
+
+@pytest.mark.parametrize("alg", [
+    engel_algebra(),
+    # The free step-3 algebra on two generators.
+    GradedLieAlgebra.from_brackets(
+        (2, 1, 2), [(0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (1, 2, {4: 1.0})]),
+    GradedLieAlgebra.from_brackets(
+        (2, 1, 1, 1), [(0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (0, 3, {4: 1.0})]),
+], ids=["engel", "free3", "filiform"])
+def test_bch_folded_tail_matches_written_out_series(alg):
+    # bch_product folds the tail's brackets by bilinearity.  A layer-j
+    # coordinate of the product is a sum of terms of size up to r^j, with r
+    # the larger homogeneous size max(1, |x_i|^(1/deg i)) of the two
+    # factors; in units of the spacing of r^j the two forms differ by at
+    # most 2 over 200,000 rows at scales 0.2-20 per algebra.  Bound: 16.
+    mul = bch_product(alg)
+    deg = alg.degrees
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x, y = (rng.uniform(-2, 2, (2, 500, alg.dim))
+                * 10.0 ** rng.uniform(-1, 1, (2, 500, 1)))
+        size = np.abs(np.concatenate([x, y], axis=-1)) ** (
+            1.0 / np.concatenate([deg, deg]))
+        r = np.maximum(1.0, np.max(size, axis=-1, keepdims=True))
+        ulps = np.abs(mul(x, y) - _bch_written_out(alg, x, y)) / np.spacing(
+            r ** deg)
+        assert float(np.max(ulps)) <= 16.0, (seed, float(np.max(ulps)))
+
+
 def _bracket_pair_by_pair(alg, x, y):
     # Output coordinate k adds c (x_i y_j - x_j y_i) over its pairs i < j
     # with c = C[i, j, k] != 0, in ascending order, starting from the first.

@@ -1,10 +1,12 @@
 """Level-k operations, their validation, and the irq identity suite."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
+from emergent_irq import core
 from emergent_irq.carriers import (GradedLieAlgebra, make_carnot,
                                    make_dihedral_quandle, make_engel,
                                    make_euclidean, make_heisenberg,
@@ -110,6 +112,23 @@ def test_dihedral_star_k_depends_only_on_parity():
         assert np.array_equal(star_k(dq, k, x, u), u)
     for k in (1, -1, 3, -3):
         assert np.array_equal(star_k(dq, k, x, u), dq.star(x, u))
+
+
+def test_dihedral_level_star_on_a_block_of_levels():
+    # The limits hand level_star a block of levels as one int array; each
+    # level of the block equals that level evaluated alone, for the star
+    # and every operation composed from it.
+    dq = make_dihedral_quandle(7)
+    x, u = np.arange(7).repeat(7), np.tile(np.arange(7), 7)
+    v = (3 * x + 2 * u + 1) % 7
+    ops = ((core._star, (x, u)), (core._sum, (x, u, v)),
+           (core._difference, (x, u, v)), (core._inverse, (x, u)))
+    for ks in (np.arange(1, 7), np.arange(-6, 0)):
+        for level, points in ops:
+            block = core._at_levels((dq,), partial(level, dq), ks, *points)
+            alone = np.stack([level(dq, int(k), *points) for k in ks])
+            assert np.array_equal(block, alone), (level.__name__, ks)
+    assert dq.level_star(3, 2, 5) == dq.star(2, 5)
 
 
 def _filiform4():

@@ -1,19 +1,23 @@
 """Right division, loop isotopes, and the symmetric-space layer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emergent_irq.carriers import (GradedLieAlgebra, build_carrier,
-                                   carrier_registry, make_carnot,
+                                   carrier_registry, engel_algebra,
+                                   heisenberg_algebra, make_carnot,
                                    make_dihedral_quandle, make_engel,
                                    make_euclidean, make_group_irq,
                                    make_heisenberg, make_hyperbolic,
                                    make_perturbed_plane, reflect)
 from emergent_irq.carriers.group import _additive_group
 from emergent_irq.core import inverse_k, star_k
-from emergent_irq.division import (DivisionMethod, check_involution,
+from emergent_irq.division import (DivisionMethod, _fixed_point,
+                                   check_involution,
                                    check_loos_axioms,
                                    default_division_method,
                                    loop_isotope_k, loos_identity_names,
@@ -21,6 +25,7 @@ from emergent_irq.division import (DivisionMethod, check_involution,
 from emergent_irq.errors import (InvalidExponentError, NonConvergenceError,
                                  UnsupportedCarrierError)
 from emergent_irq.limits import LimitConfig, emergent_inverse, emergent_sum
+from test_carriers import _random_step2
 
 
 def test_division_method_validation():
@@ -55,12 +60,16 @@ def _truncated_product(irq, k, b, a, terms=200):
     return y
 
 
+def _filiform():
+    # The step-4 filiform algebra, [e0, e_i] = e_(i+1).
+    return GradedLieAlgebra.from_brackets(
+        (2, 1, 1, 1), [(0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (0, 3, {4: 1.0})])
+
+
 def _bundled_carriers():
     # Every registered carrier at its defaults; the generic Carnot one on
     # the step-4 filiform algebra.
-    filiform = GradedLieAlgebra.from_brackets(
-        (2, 1, 1, 1), [(0, 1, {2: 1.0}), (0, 2, {3: 1.0}), (0, 3, {4: 1.0})])
-    return [make_carnot(filiform, 0.5) if name == "carnot"
+    return [make_carnot(_filiform(), 0.5) if name == "carnot"
             else build_carrier(name) for name in carrier_registry()]
 
 
@@ -81,7 +90,10 @@ def test_division_rejects_a_bad_level_before_solving(k):
 def test_default_division_method():
     assert default_division_method(make_euclidean(1, 0.5)).kind == "closed_form"
     assert default_division_method(make_dihedral_quandle(5)).kind == "closed_form"
-    assert default_division_method(make_heisenberg(0.5)).kind == "fixed_point"
+    # Every Carnot carrier solves by graded back-substitution.
+    for irq in (make_heisenberg(0.5), make_engel(0.5),
+                make_carnot(_filiform(), 0.5)):
+        assert default_division_method(irq).kind == "closed_form", irq.name
     assert default_division_method(make_perturbed_plane(0.5, 0.1)).kind == "fixed_point"
     # No divide and not uniform: nothing applies.
     with pytest.raises(UnsupportedCarrierError):
@@ -178,12 +190,72 @@ def test_fixed_point_division_random_carriers(name, eps, k, seed):
     a, b = pts[:16], pts[16:]
     # Post-condition at the default tol 1e-10; the worst residual over
     # 3600 random draws of this domain was 1.05e-11, a margin near 10.
-    y = right_divide_k(irq, k, b, a)
+    y = right_divide_k(irq, k, b, a, DivisionMethod("fixed_point"))
     if irq.group.is_morphism:
         # Worst distance to the written-out product over the same draws:
         # 3.1e-13, a margin above 30.
         oracle = _truncated_product(irq, k, b, a)
         assert float(np.max(irq.metric(y, oracle))) <= 1e-11
+
+
+@settings(deadline=None, max_examples=60)
+@given(name=st.sampled_from(["heisenberg", "engel", "filiform", "step2"]),
+       eps=st.floats(0.3, 0.95), k=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       seed=st.integers(0, 2**32 - 1), d1=st.integers(2, 4),
+       d2=st.integers(1, 3), empty_last=st.booleans())
+def test_graded_division_matches_fixed_point_and_oracle(name, eps, k, seed,
+                                                        d1, d2, empty_last):
+    # Carnot carriers divide by graded back-substitution; the fixed-point
+    # loop and the written-out product solve the same equation.
+    algebra = (_random_step2(seed, d1, d2, empty_last) if name == "step2"
+               else {"heisenberg": heisenberg_algebra, "engel": engel_algebra,
+                     "filiform": _filiform}[name]())
+    irq = make_carnot(algebra, eps)
+    pts = irq.sample(seed, 32, 2.0)
+    a, b = pts[:16], pts[16:]
+    graded = irq.divide(k, b, a)
+    fixed = _fixed_point(irq, k, b, a, DivisionMethod("fixed_point"))
+    # Enough factors that the last one falls below 1e-18.
+    oracle = _truncated_product(
+        irq, k, b, a, math.ceil(math.log(1e-18) / (abs(k) * math.log(eps))))
+    # Distances relative to the quotient's largest coordinate, which nears
+    # 1e5 at eps = 0.95 on filiform.  Worst over 31,000 draws of this
+    # domain (9,000 of them at its edges eps = 0.3, k = -3 and eps = 0.95,
+    # k = +-1 on filiform): 3.5e-12 to the fixed point and 1.5e-11 to the
+    # oracle, whose own distance to the fixed point is as large; margins
+    # above 10.
+    scale = np.maximum(1.0, np.max(np.abs(oracle), axis=-1))
+    assert float(np.max(irq.metric(graded, fixed) / scale)) <= 5e-11
+    assert float(np.max(irq.metric(graded, oracle) / scale)) <= 2e-10
+
+    # Post-condition residuals.  At eps near 0.3 and k = -3 on filiform
+    # both methods sit at the float floor that star_k at that level
+    # expands, and either may fail the 1e-10 tolerance; at eps = 0.95 and
+    # k = +-1 either may too.  Graded's residual stays within 3.3 times
+    # the larger of the fixed point's and the tolerance in those draws
+    # (median 1); the bound leaves a margin near 2.4.
+    def residual(y):
+        return float(np.max(irq.metric(star_k(irq, k, y, a), b)))
+
+    tol = DivisionMethod("closed_form").tol
+    assert residual(graded) <= 8.0 * max(residual(fixed), tol)
+
+
+def test_fixed_point_division_keeps_the_carnot_cases():
+    # The Carnot carriers divide in closed form by default; asked for, the
+    # fixed-point loop still solves its hard cases there: Engel at
+    # eps = 0.9 and radius 5, where the iteration's steps grow before they
+    # shrink, and the contraction ratio 0.9 at k = +-1, which needs more
+    # than 200 iterations.
+    fixed = DivisionMethod("fixed_point")
+    en = make_engel(0.9)
+    pts = en.sample(0, 200, 5.0)
+    for k in (2, 3, -3):
+        right_divide_k(en, k, pts[100:], pts[:100], fixed)
+    for irq in (make_heisenberg(0.9), en):
+        pts = irq.sample(0, 40, 2.0)
+        for k in (-1, 1):
+            right_divide_k(irq, k, pts[:20], pts[20:], fixed)
 
 
 def test_division_post_condition_failure():

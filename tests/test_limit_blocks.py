@@ -64,12 +64,17 @@ def _one_level_limit(irq, value_at, cfg, what):
         if step < floor:
             floor, floor_k = step, k
         if step > 1e3 * max(floor, cfg.tol):
+            if floor > cfg.tol:
+                how = (f"1000-fold by level {k}; either no limit exists "
+                       f"here or tol {cfg.tol:.1e} is below the carrier's "
+                       f"numerical floor")
+            else:
+                how = (f"1000-fold past tol {cfg.tol:.1e} by level {k}, "
+                       f"before the Cauchy window closed")
             raise NonConvergenceError(
                 f"{what} on {irq.name!r}: residual trail bottomed out "
-                f"near {floor:.3e} at level {floor_k} and regrew "
-                f"1000-fold by level {k}; either no limit exists here or "
-                f"tol {cfg.tol:.1e} is below the carrier's numerical "
-                f"floor", trail)
+                f"near {floor:.3e} at level {floor_k} and regrew {how}",
+                trail)
         prev = cur
     raise NonConvergenceError(
         f"{what} on {irq.name!r} did not settle within max_k={cfg.max_k} "
@@ -232,7 +237,11 @@ def test_carrier_without_level_hooks_matches():
         got = _assert_same(eu, name, points, LimitConfig(tol=1e-9))
         if name == "emergent_difference":
             assert got[:2] == ("error", "NonConvergenceError")
-            assert "at level 34 and regrew" in got[2]
+            # The trail bottomed out below tol, so the message names the
+            # regrowth past tol, not a floor above it.
+            assert "at level 34 and regrew 1000-fold past tol 1.0e-09" \
+                in got[2]
+            assert "numerical floor" not in got[2]
         got = _assert_same(eu, name, points,
                            LimitConfig(tol=1e-9, extrapolate=True))
         assert got[3] == 4
