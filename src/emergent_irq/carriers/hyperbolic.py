@@ -1,36 +1,40 @@
-"""Hyperbolic upper half-plane carrier.
+r"""Hyperbolic upper half-plane carrier.
 
-Points are (x, y) with y > 0 and metric ds^2 = (dx^2 + dy^2) / y^2.
-Geodesics are vertical rays and semicircles centered on the x-axis; both
-exponential and logarithm maps have closed forms, parameterizing circle
-geodesics by the angle phi in (0, pi) with arc-length coordinate
-log tan(phi/2).  The irq operations move points along geodesics,
+Points are (x, y) with y > 0 and metric ds^2 = (dx^2 + dy^2) / y^2.  The
+half-plane is the group of isometries z -> b + e^t z (the AN factor of
+SL(2, R)), with law (b1, t1)(b2, t2) = (b1 + e^t1 b2, t1 + t2) in the
+chart (b, t) = (x, log y) and neutral element i = (0, 0).  With delta the
+geodesic scaling about i by eps, the carrier is :func:`make_group_irq`'s
+x delta(x^-1 u) = exp_x(eps log_x u), whose limit inverse is the geodesic
+point reflection.  delta is not a morphism, so the carrier is not
+distributive and exposes no ``group`` (limits extrapolated in (x, y)
+would leave the half-plane).  delta scales the distance s from i: the
+point at distance s in the unit direction (c, n), whose tangent at i is
+s (-n, c), has
 
-    star(x, u) = exp_x(eps log_x u)      back(x, u) = exp_x(log_x u / eps)
-
-which is a uniform irq whose emergent operations recover the symmetric
-space structure: the limit inverse is the geodesic point reflection.
-Unlike the group carriers, this one is not distributive, so it has no
-underlying contractible group to reconstruct.
+    (b^2 + e^2t - 1, -2b) = 2 e^t sinh(s) (c, n),
+    e^-t = cosh s - c sinh s,    b = -n e^t sinh s.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from ..core import Irq, _level_power
 from ..errors import CarrierConstructionError, InvalidPointError
+from .group import GroupOps, make_group_irq
 
 __all__ = ["make_hyperbolic", "exp_map", "log_map", "geodesic_distance",
            "reflect"]
 
-# Below this fraction of the scale, a geodesic counts as vertical.
-_VERTICAL = 1e-13
-
-# A subnormal tangent vector has too few bits for v / |v| to be a unit
-# vector, and moves any coordinate above ~1e-292 by less than an ulp, so
-# exp_map treats one as zero.
+# A subnormal tangent vector has too few bits for a unit direction and
+# moves no coordinate above ~1e-292 by an ulp, so exp_map treats it as 0.
 _TINY = np.finfo(float).tiny
+
+# A point past float range comes out non-finite, and _from_chart rejects it.
+_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 def _check_points(*pts):
@@ -58,68 +62,91 @@ def geodesic_distance(p, q):
                                               / (p[..., 1] * q[..., 1])))
 
 
+def _to_chart(x, u):
+    """x^-1 u in the chart, for public points x and u."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    return np.stack([(u[..., 0] - x[..., 0]) / x[..., 1],
+                     np.log(u[..., 1] / x[..., 1])], axis=-1)
+
+
+def _from_chart(x, g):
+    """The public point x g, which is x itself at g = (0, 0)."""
+    x = np.asarray(x, dtype=float)
+    out = np.stack([x[..., 0] + x[..., 1] * g[..., 0],
+                    x[..., 1] * np.exp(g[..., 1])], axis=-1)
+    _check_points(out)
+    return out
+
+
+def _polar(g):
+    """Distance s from i and unit direction (c, n) of g, (0, 0) at i."""
+    b, t = g[..., 0], g[..., 1]
+    y = np.exp(t)
+    # b^2 - 1 cancels near |b| = 1 far below i, e^2t - 1 near t = 0.
+    a = np.where(t < -1.0, (b - 1.0) * (b + 1.0) + y * y,
+                 b * b + np.expm1(2.0 * t))
+    h = np.hypot(a, 2.0 * b)
+    s = np.arcsinh(h / (2.0 * y))
+    h = np.where(h > 0.0, h, 1.0)
+    return s, a / h, -2.0 * b / h
+
+
+def _from_polar(s, c, n):
+    """The chart point at distance s from i in direction (c, n); a negative
+    s walks the opposite direction."""
+    big, em = np.exp(s), np.expm1(s)
+    # (1 - c, 1 + c), the smaller one as n^2 / (1 + |c|) to keep the digits
+    # of n as |c| nears 1.
+    far, ahead = 1.0 + np.abs(c), c > 0.0
+    near = n * n / far
+    lo, hi = np.where(ahead, near, far), np.where(ahead, far, near)
+    # D = e^-t = cosh s - c sinh s as a sum of two non-negative terms, and
+    # D - 1 in a form that keeps its digits at small s.
+    d = 0.5 * (lo * big + hi / big)
+    dm1 = em * (lo * em - 2.0 * c) / (2.0 * big)
+    t = np.where(dm1 < -0.5, -np.log(d), -np.log1p(np.maximum(dm1, -0.5)))
+    return np.stack([-n * em * (1.0 + 1.0 / big) / (2.0 * d), t], axis=-1)
+
+
+def _scale(g, f):
+    """The chart point f times as far from i as g, on their geodesic."""
+    s, c, n = _polar(g)
+    return _from_polar(f * s, c, n)
+
+
+def _mul(g, h):
+    return np.stack([g[..., 0] + np.exp(g[..., 1]) * h[..., 0],
+                     g[..., 1] + h[..., 1]], axis=-1)
+
+
+def _inv(g):
+    return np.stack([-g[..., 0] * np.exp(-g[..., 1]), -g[..., 1]], axis=-1)
+
+
 def log_map(p, q):
     """Tangent vector at p (Euclidean coordinates) reaching q at time 1.
 
     Its Euclidean length divided by y_p is the hyperbolic distance.
     """
     _check_points(p, q)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    x0, y0 = p[..., 0], p[..., 1]
-    x1, y1 = q[..., 0], q[..., 1]
-    dx = x1 - x0
-    scale = np.abs(x0) + np.abs(x1) + y0 + y1
-    vertical = np.abs(dx) <= _VERTICAL * scale
-
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s_vert = np.log(y1 / y0)
-
-        dx_safe = np.where(vertical, 1.0, dx)
-        c = 0.5 * (x0 + x1) + (y1 - y0) * (y1 + y0) / (2.0 * dx_safe)
-        phi0 = np.arctan2(y0, x0 - c)
-        phi1 = np.arctan2(y1, x1 - c)
-        s_circ = np.log(np.tan(0.5 * phi1)) - np.log(np.tan(0.5 * phi0))
-
-    s = np.where(vertical, s_vert, s_circ)
-    ux = np.where(vertical, 0.0, -np.sin(phi0))
-    uy = np.where(vertical, 1.0, np.cos(phi0))
-    return np.stack([s * y0 * ux, s * y0 * uy], axis=-1)
+    with np.errstate(**_QUIET):
+        s, c, n = _polar(_to_chart(p, q))
+    r = np.asarray(p, dtype=float)[..., 1] * s
+    return np.stack([-r * n, r * c], axis=-1)
 
 
 def exp_map(p, v):
     """Geodesic flow from p with initial tangent v for unit time."""
     _check_points(p)
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise InvalidPointError("tangent vector has non-finite coordinates")
-    x0, y0 = p[..., 0], p[..., 1]
-    nv = np.hypot(v[..., 0], v[..., 1])
-    s = nv / y0
-    zero = nv < _TINY
-    nv_safe = np.where(zero, 1.0, nv)
-    ux = np.where(zero, 0.0, v[..., 0] / nv_safe)
-    uy = np.where(zero, 1.0, v[..., 1] / nv_safe)
-    vertical = np.abs(ux) <= _VERTICAL
-
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y_vert = y0 * np.exp(np.sign(uy) * s)
-
-        ux_safe = np.where(vertical, 1.0, ux)
-        c = x0 + y0 * uy / ux_safe
-        r = y0 / np.abs(ux_safe)
-        phi0 = np.arctan2(y0, x0 - c)
-        t1 = np.tan(0.5 * phi0) * np.exp(-np.sign(ux_safe) * s)
-        phi1 = 2.0 * np.arctan(t1)
-        x_circ = c + r * np.cos(phi1)
-        y_circ = r * np.sin(phi1)
-
-    x = np.where(vertical, x0, x_circ)
-    y = np.where(vertical, y_vert, y_circ)
-    out = np.stack([x, y], axis=-1)
-    _check_points(out)
-    return out
+    norm = np.hypot(v[..., 0], v[..., 1])
+    still = norm < _TINY
+    unit = v / np.where(still, 1.0, norm)[..., None]
+    s = np.where(still, 0.0, norm) / p[..., 1]
+    with np.errstate(**_QUIET):
+        return _from_chart(p, _from_polar(s, unit[..., 1], -unit[..., 0]))
 
 
 def reflect(p, q):
@@ -130,8 +157,8 @@ def reflect(p, q):
 def make_hyperbolic(epsilon, name="hyperbolic"):
     """Geodesic-contraction irq on the upper half-plane, 0 < epsilon < 1.
 
-    Right division also solves in closed form along the geodesic through
-    a and b: y = exp_a(log_a(b) / (1 - epsilon^k)).
+    Its level operations are :func:`make_group_irq`'s at i, carried to x by
+    the isometry x: op_k(x, u, v) = x op_k(i, x^-1 u, x^-1 v).
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
@@ -139,6 +166,24 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
     # Float64 powers overflow to inf instead of raising OverflowError.
     eps = np.float64(epsilon)
     base = np.array([0.0, 1.0])
+
+    def delta_power(m, g):
+        # A block's levels broadcast against g, and s has no pair axis.
+        f = _level_power(eps, m)
+        return _scale(g, f[..., 0] if f.ndim else f)
+
+    chart = make_group_irq(
+        GroupOps(mul=_mul, inv=_inv, neutral=np.zeros(2),
+                 delta_power=delta_power),
+        partial(delta_power, 1), partial(delta_power, -1), name=name,
+        epsilon=epsilon)
+
+    def translated(op):
+        def level_op(k, x, *points):
+            with np.errstate(**_QUIET):
+                return _from_chart(x, op(k, chart.base, *(
+                    _to_chart(x, p) for p in points)))
+        return level_op
 
     def sample(seed, count, radius):
         rng = np.random.default_rng(seed)
@@ -148,21 +193,14 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
         return exp_map(base, v)
 
     def divide(k, b, a):
-        return exp_map(a, log_map(a, b) / (1.0 - eps ** k))
-
-    # Geodesic scalings at x keep every composite on the geodesic through
-    # x and u, so in the arclength chart at x the k-fold star is one
-    # scaling by eps^k and the level-k inverse is the affine expression
-    # eps^k t - t; composing the point operations instead would recover the
-    # eps^k-small displacement from full-magnitude coordinates and
-    # re-amplify its rounding by eps^-k.
-    def level_star(k, x, u):
-        return exp_map(x, _level_power(eps, k) * log_map(x, u))
-
-    def level_inverse(k, x, u):
-        return exp_map(x, (_level_power(eps, k) - 1.0) * log_map(x, u))
+        with np.errstate(**_QUIET):
+            return _from_chart(a, _scale(_to_chart(a, b),
+                                         1.0 / (1.0 - eps ** k)))
 
     return Irq(name=name, metric=geodesic_distance, sample=sample, base=base,
                epsilon=epsilon, divide=divide, point_reflection=reflect,
-               reflection_isometry=True, level_inverse=level_inverse,
-               level_star=level_star)
+               reflection_isometry=True,
+               level_star=translated(chart.level_star),
+               level_difference=translated(chart.level_difference),
+               level_sum=translated(chart.level_sum),
+               level_inverse=translated(chart.level_inverse))

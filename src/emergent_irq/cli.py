@@ -242,29 +242,14 @@ def _exp_reconstruct(irq, cfg):
     return rows
 
 
-def _loos_rows(irq, cfg):
-    def attempt(margin):
-        return check_loos_axioms(irq, _limit_config(cfg, cfg["tol"], margin),
-                                 tol=cfg["tol"], **_sampling(cfg))
-
-    try:
-        reports = attempt(4.0)
-    except NonConvergenceError:
-        # A quarter of the row tolerance can sit below the carrier's
-        # numerical floor on the compounded points these checks form
-        # (carriers whose limits cannot be extrapolated, or a tight
-        # --tol); the row tolerance itself is the loosest accuracy the
-        # rows can absorb, so retry there before failing every Loos row.
-        reports = attempt(1.0)
-    return _report_rows(reports)
-
-
 def _exp_symmetric(irq, cfg):
     rows = _report_rows([check_involution(irq, tol=cfg["tol"],
                                           **_sampling(cfg))])
     if irq.is_uniform:
-        rows += _guard(cfg, loos_identity_names(irq), None, _loos_rows, irq,
-                       cfg)
+        lcfg = _limit_config(cfg, cfg["tol"], 4.0)
+        rows += _guard(cfg, loos_identity_names(irq), None, lambda: (
+            _report_rows(check_loos_axioms(irq, lcfg, tol=cfg["tol"],
+                                           **_sampling(cfg)))))
     return rows
 
 

@@ -187,18 +187,15 @@ def check_involution(irq, samples=200, tol=1e-12, seed=0, radius=2.0):
                              tol)
 
 
-def loos_identity_names(irq, isometry=None):
+def loos_identity_names(irq):
     """Identities :func:`check_loos_axioms` reports on ``irq``, in order."""
-    if isometry is None:
-        isometry = irq.reflection_isometry
     return (["L1", "L2", "L3", "L4", "L2-underline", "6.6", "6.8"]
             + ["6.8-oracle"] * (irq.point_reflection is not None)
-            + ["6.8-iso"] * bool(isometry))
+            + ["6.8-iso"] * irq.reflection_isometry)
 
 
 def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
-                      radius=2.0, method=None, levels=(1, 2, 3),
-                      expansion_floor=1e-3, isometry=None):
+                      radius=2.0):
     """Check the symmetric-space axioms for the limit inversion inv_inf.
 
     The inversion limits run at ``cfg``, by default at a quarter of the
@@ -211,17 +208,17 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
     * ``L3``: inv(x, inv(x, y)) = y;
     * ``L4``: quantitative non-degeneracy: over sampled y with
       1e-3 * 0.5 <= d(x, y) <= 0.5, the ratio d(inv(x, y), y) / d(x, y)
-      stays above ``expansion_floor`` (the measured minimum rides in the
-      report note);
-    * ``L2-underline``: L2 with underline_inv_k at each level in ``levels``;
+      stays above 1e-3 (the measured minimum rides in the report note);
+    * ``L2-underline``: L2 with underline_inv_k at levels 1, 2 and 3, each
+      dividing by the carrier's default method;
     * ``6.6``: underline_inv_k(u, v) = inv_inf(u, v) at each level, the
       k-independence making the carrier a uniform symmetric quasigroup;
     * ``6.8``: the equivalent k-indexed form inverse_k(u, v) =
       inv_inf(u, v *_k u);
     * ``6.8-oracle`` (when the carrier has a closed-form
       ``point_reflection``): the limit inversion matches it;
-    * ``6.8-iso`` (only when ``isometry``; defaults to the carrier's
-      ``reflection_isometry`` flag): d(inv(x, u), inv(x, v)) = d(u, v).
+    * ``6.8-iso`` (when the carrier sets ``reflection_isometry``):
+      d(inv(x, u), inv(x, v)) = d(u, v).
     """
     if not irq.is_uniform:
         raise UnsupportedCarrierError(
@@ -241,7 +238,7 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
 
     # L4 audit: pull the y-batch into the 0.5-ball around each x by star
     # contractions, drop pairs closer than delta_min, bound the ratio below.
-    ball, delta_min = 0.5, 1e-3 * 0.5
+    ball, delta_min, expansion_floor = 0.5, 1e-3 * 0.5, 1e-3
     near = y
     for _ in range(60):
         d = irq.metric(x, near)
@@ -262,9 +259,9 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
         note=f"min ratio d(inv(x,y),y)/d(x,y) = {c:.6g}, floor {expansion_floor:g}"))
 
     l2u, r66, r68 = [], [], []
-    for k in levels:
+    for k in (1, 2, 3):
         def und(a, b):
-            return underline_inv_k(irq, k, a, b, method)
+            return underline_inv_k(irq, k, a, b)
 
         u_xy = und(x, y)
         l2u.append((und(x, und(y, z)), und(u_xy, und(x, z))))
@@ -278,7 +275,7 @@ def check_loos_axioms(irq, cfg=None, samples=100, tol=1e-8, seed=0,
         reports.append(AxiomReport.judge(
             irq, "6.8-oracle", n, [(i_xy, irq.point_reflection(x, y))], tol))
 
-    if "6.8-iso" in loos_identity_names(irq, isometry):
+    if irq.reflection_isometry:
         pres = float(np.max(np.abs(np.asarray(irq.metric(i_xy, i_xz))
                                    - np.asarray(irq.metric(y, z)))))
         reports.append(AxiomReport.from_residual("6.8-iso", n, pres, tol))

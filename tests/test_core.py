@@ -139,8 +139,9 @@ def _filiform4():
 
 # Every bundled constructor: (carrier, sample radius, lowest level).
 # Hyperbolic stays within radius 0.5 and level -3, about 4 units from x:
-# past ~15 units the half-plane chart loses its digits whichever way the
-# level is evaluated (both forms miss the distance by 36% at level -6).
+# past ~15 units float (x, y) points lose their transverse digits whichever
+# way the level is evaluated (at level -6 both forms land at the right
+# distance from x, but 0.74 apart).
 BUNDLED = (
     (make_euclidean(3, 0.5), 2.0, -6),
     (make_heisenberg(0.5), 2.0, -6),
@@ -158,8 +159,8 @@ def test_level_star_matches_iterated_definition(irq, radius, lowest):
     # The one-step evaluator against |k| steps of star or back, relative to
     # the size of the result, max(1, d(x, iterated)).  Measured worst over
     # seeds 0-3: 5.4e-15 on the group carriers (step-4 Carnot at level -6,
-    # tens of ulps), 2.5e-13 on hyperbolic (level -3), exactly 0 on
-    # dihedral.  The tolerances leave a factor of about 20 above those.
+    # tens of ulps), 2.9e-14 on hyperbolic (level -3), exactly 0 on
+    # dihedral.  The tolerances leave a factor of at least 20 above those.
     tol = 0.0 if irq.is_exact else 5e-12 if irq.group is None else 1e-13
     pts = irq.sample(0, 80, radius)
     x, u = pts[:40], pts[40:]
@@ -177,8 +178,8 @@ def test_level_star_matches_iterated_definition(irq, radius, lowest):
 def test_hyperbolic_level_star_scales_distance():
     # star_k moves u along the geodesic through x to eps^k times its
     # distance.  Measured worst deviation over levels -3..6 at radius 0.5,
-    # seeds 0-5, relative to max(1, eps^k d): 9.0e-14, never above what
-    # |k| iterated steps reach (9.0e-14).  2e-12 leaves a factor of 20.
+    # seeds 0-5, relative to max(1, eps^k d): 6.8e-16, below what |k|
+    # iterated steps reach (1.4e-15).  2e-12 leaves a factor of over 20.
     hyp = make_hyperbolic(0.5)
     pts = hyp.sample(1, 80, 0.5)
     x, u = pts[:40], pts[40:]

@@ -118,42 +118,42 @@ DIGESTS = {
         0, 'ff465caf795d6d003a93724925277dff489aeac73a8f970167ed7315fff106a5',
         '6.5 6.6 6.8 6.8-oracle L1 L2 L2-underline L3 L4'),
     'hyperbolic-defaults: hyperbolic axioms': (
-        1, '1fe6d9a9d54e5deeef218629f0a7a870cdb5ea82a7c2d668adc444dcb261b7e3',
-        '!3.4a !3.4b !3.4c !3.4d !3.4e 3.4f 3.4g 3.5h 3.5i !3.5j !3.5k !P1 P2'),
+        1, '4e70328c63f18bedf432ced5143d4bd440cb4e2543f2722aadf587677a7a9767',
+        '3.4a !3.4b !3.4c !3.4d !3.4e 3.4f 3.4g 3.5h 3.5i !3.5j !3.5k P1 P2'),
     'hyperbolic-defaults: hyperbolic converge': (
-        1, 'd1f51b2d60a3f4805765697028a1ca19b3b10cf6962864355197f6bb92407120',
-        '!5.1-dif@200 5.1-inv@31 !5.1-sum@200'),
+        0, 'bc6be3797d1f4480646fc0953f8218ad85a9716b09ba86669de3183f93006ab5',
+        '5.1-dif@33 5.1-inv@31 5.1-sum@36'),
     'hyperbolic-defaults: hyperbolic derivative': (
-        1, 'fca5ef403059945f4912f217b31ccc52e18155d7d6b67c439f86cfa1311947e0',
-        'Tf-id@4 !Tf-morphism'),
+        0, 'f9bd1f5ae5001ce874f5f0e1fe1fa25e05db5507915a22cc57dc4765e8aa89fc',
+        'Tf-id@4 Tf-morphism'),
     'hyperbolic-defaults: hyperbolic divide': (
-        1, '9f87afb8937ff0020d4060647c3be8ab630c4c556d56ddded77b35e048f91356',
+        0, '800132c0bb80ff2833673b86e9646a40a54b46be9597ef97bba0713539327086',
         '6.3@-1 6.3@1 6.3@2 6.3@3 6.3-loop@-1 6.3-loop@1 6.3-loop@2 '
-        '!6.3-loop@3 6.3-prefactor@30'),
+        '6.3-loop@3 6.3-prefactor@30'),
     'hyperbolic-defaults: hyperbolic reconstruct': (
-        1, 'a6e646ce04ea51b50864f76d2062c398568493b7fd9658f397de9f8ddec853e0',
+        1, 'a7716212be0a9be73331af57d626278134345a99ec6c65795572972e87dbdfd4',
         '!6.1'),
     'hyperbolic-defaults: hyperbolic symmetric': (
-        0, '8e4fed0047007e120129b498abae3c9402cb9bda6f575969dd3a14ec44ce1604',
+        0, '3eb83a9fb2da1a75509fbfd51b8c18270f3f6679dd28b2d43cd1c419e869431c',
         '6.5 6.6 6.8 6.8-iso 6.8-oracle L1 L2 L2-underline L3 L4'),
     'nonlinear-deep: hyperbolic axioms': (
-        0, 'e407c4d0d7ab26656966d4b44ff5a2689c4a88c3ca5882f0b3c91a6acc680fbd',
+        0, '9fa04a8afa38dbcc9976e252d81361d8155e537f3ece53acfe95a119e3af052b',
         '3.4a 3.4b 3.4c 3.4d 3.4e 3.4f 3.4g 3.5h 3.5i 3.5j 3.5k P1 P2'),
     'nonlinear-deep: hyperbolic converge': (
-        0, 'bace98ebb03adafc340bf8cc2048bd2f9d3454a768af30ece4c443c21d558dcd',
+        0, '028fa573e43e148aeb8d05b36c7d2e9110827b000ef4ea8fdeb8d154a37316b7',
         '5.1-dif@19 5.1-inv@19 5.1-sum@19'),
     'nonlinear-deep: hyperbolic derivative': (
-        0, '8718e382b76f1fa2810b6cf0c0568534c11fef47a93270af7c9955d5ea39a01f',
+        0, '9306b6ff1c9786972525ffa276b82092b38a1a83467d5f30d3b03358491c9752',
         'Tf-id@4 Tf-morphism'),
     'nonlinear-deep: hyperbolic divide': (
-        0, 'c0415f551777b3ed127f68b366e074747ecddf756996f68320c762cabbc52220',
+        0, '98aeb0e0bd96485aa425f73e47ee531870ec4f0dbf514d4d07c7f11ffa407450',
         '6.3@-1 6.3@1 6.3@2 6.3@3 6.3-loop@-1 6.3-loop@1 6.3-loop@2 '
         '6.3-loop@3 6.3-prefactor@30'),
     'nonlinear-deep: hyperbolic reconstruct': (
-        1, 'a6e646ce04ea51b50864f76d2062c398568493b7fd9658f397de9f8ddec853e0',
+        1, 'a7716212be0a9be73331af57d626278134345a99ec6c65795572972e87dbdfd4',
         '!6.1'),
     'nonlinear-deep: hyperbolic symmetric': (
-        0, '8e4fed0047007e120129b498abae3c9402cb9bda6f575969dd3a14ec44ce1604',
+        0, '3eb83a9fb2da1a75509fbfd51b8c18270f3f6679dd28b2d43cd1c419e869431c',
         '6.5 6.6 6.8 6.8-iso 6.8-oracle L1 L2 L2-underline L3 L4'),
     'nonlinear-deep: perturbed axioms': (
         0, 'd5d64f32724b89476b31cb231460929bbd7c1c4322a9c506bdead55446944fc5',
