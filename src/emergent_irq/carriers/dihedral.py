@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Irq
+from ..core import Chart, Irq
 from ..errors import CarrierConstructionError, UnsupportedCarrierError
+from .group import GroupOps
 
 __all__ = ["make_dihedral_quandle"]
 
@@ -13,10 +14,10 @@ __all__ = ["make_dihedral_quandle"]
 def make_dihedral_quandle(n, name=None):
     """Quandle on Z/n with star(x, u) = back(x, u) = (2x - u) mod n.
 
-    star(x, .) is an involution, so star_k depends only on the parity of k:
-    odd levels reflect through x, even levels are the identity in u.  Right
-    division y *_k a = b therefore exists only for odd k, and uniquely only
-    when 2 is invertible mod n, i.e. for odd n, where y = (a + b) / 2 mod n.
+    In the chart Z/n, delta(g) = -g, so star_k depends only on the parity
+    of k: odd levels reflect through x, even levels are the identity in u.
+    Right division y *_k a = b therefore exists only for odd k, and uniquely
+    only for odd n, where 2 is invertible and y = (a + b) / 2 mod n.
 
     Exact integer carrier with the discrete 0/1 metric; not uniform.
     """
@@ -24,8 +25,13 @@ def make_dihedral_quandle(n, name=None):
     if n < 3:
         raise CarrierConstructionError(f"n must be >= 3, got {n}")
 
-    def star(x, u):
-        return np.mod(2 * np.asarray(x) - u, n)
+    def power(m, g):
+        # Elementwise in m, so a block of levels evaluates in one call.
+        return np.where(np.mod(m, 2), np.mod(np.negative(g), n), g)
+
+    group = GroupOps(mul=lambda a, b: np.mod(np.add(a, b), n),
+                     inv=lambda a: np.mod(np.negative(a), n),
+                     neutral=np.int64(0), delta_power=power)
 
     def metric(x, y):
         return (np.asarray(x) != np.asarray(y)).astype(float)
@@ -45,10 +51,5 @@ def make_dihedral_quandle(n, name=None):
         half = pow(2, -1, n)
         return np.mod((np.asarray(a) + np.asarray(b)) * half, n)
 
-    def level_star(k, x, u):
-        # Elementwise in k, so a block of levels evaluates in one call.
-        return np.where(k % 2, star(x, u), np.mod(u, n))
-
-    return Irq(name=name or f"dihedral{n}", star=star, back=star,
-               metric=metric, sample=sample, base=np.int64(0), size=n,
-               divide=divide, level_star=level_star)
+    return Irq(name=name or f"dihedral{n}", metric=metric, sample=sample,
+               base=np.int64(0), size=n, divide=divide, chart=Chart(group))

@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..core import Irq
+from ..core import Chart, Irq
 from ..errors import (CarrierConstructionError, NonConvergenceError,
                       UnsupportedCarrierError)
 
@@ -39,8 +39,8 @@ class GroupOps:
     which must also take m as an int array of levels that broadcasts
     against g, as the limits pass a block of levels.  ``is_morphism``
     declares delta(gh) = delta(g)delta(h).  A carrier states both here,
-    on the group it hands :func:`make_group_irq`, which sets ``delta`` and
-    ``delta_inv``.
+    on its :class:`~emergent_irq.core.Chart`'s group (:func:`make_group_irq`
+    sets that group's ``delta`` and ``delta_inv``).
 
     Without ``delta_power``, :meth:`power` iterates delta or ``delta_inv``
     and hands them an input whose leading axis holds independent inputs:
@@ -93,10 +93,6 @@ class GroupOps:
         return out
 
 
-def _conjugate(group, x, u):
-    return group.mul(group.inv(x), u)
-
-
 def _additive_group(dim, **delta_fields):
     """The abelian group (R^dim, +), with the given delta fields."""
     return GroupOps(mul=lambda a, b: np.asarray(a, dtype=float) + b,
@@ -109,10 +105,11 @@ def make_group_irq(group, delta, delta_inverse, *, name, metric=None,
                    point_reflection=None, reflection_isometry=False):
     r"""Build the irq ``x * u = x delta(x^-1 u)`` over a coordinate group.
 
-    The carrier's group is ``group`` with ``delta`` and ``delta_inverse``
-    as its dilation and inverse; its ``delta_power`` and ``is_morphism``
-    state what else is known of delta.  Its dimension is the last axis of
-    the neutral element, and it is uniform when given an ``epsilon``.
+    The carrier's group, and its :class:`~emergent_irq.core.Chart`'s, is
+    ``group`` with ``delta`` and ``delta_inverse`` as its dilation and
+    inverse; its ``delta_power`` and ``is_morphism`` state what else is
+    known of delta.  Its dimension is the last axis of the neutral element,
+    and it is uniform when given an ``epsilon``.
 
     :param group: :class:`GroupOps`; its own ``delta`` and ``delta_inv``,
         if any, are replaced by the two maps below.
@@ -129,11 +126,6 @@ def make_group_irq(group, delta, delta_inverse, *, name, metric=None,
     :raises CarrierConstructionError: if delta moves the neutral element.
     """
     neutral = np.asarray(group.neutral, dtype=float)
-    moved = float(np.max(np.abs(np.asarray(delta(neutral)) - neutral)))
-    if not np.isfinite(moved) or moved > 1e-12:
-        raise CarrierConstructionError(
-            f"delta must fix the neutral element; moved it by {moved:.3e}")
-
     ops = replace(group, neutral=neutral, delta=delta, delta_inv=delta_inverse)
 
     if metric is None:
@@ -149,43 +141,10 @@ def make_group_irq(group, delta, delta_inverse, *, name, metric=None,
             r = radius * rng.random((count, 1)) ** (1.0 / dim)
             return neutral + direction * r
 
-    # Iterating star cancels the basepoint inside each step, so for any
-    # delta (morphism or not) x *_k u = x delta^k(x^-1 u), one product and
-    # one power per level, and the derived operations rearrange to products
-    # of displacements:
-    #
-    #     difference_k(x,u,v) = x (s delta^-k(s^-1 t))
-    #     sum_k(x,u,v)        = x delta^-k(s delta^k((x s)^-1 v))
-    #     inverse_k(x,u)      = x (s delta^-k(s^-1))
-    #
-    # with s = delta^k(x^-1 u), t = delta^k(x^-1 v).  Composing the point
-    # operations instead would round each intermediate at the basepoint's
-    # magnitude and re-amplify the rounding by delta^-k; these forms keep
-    # every small factor at its own scale.
-
-    def level_star(k, x, u):
-        return ops.mul(x, ops.power(k, _conjugate(ops, x, u)))
-
-    def level_difference(k, x, u, v):
-        s = ops.power(k, _conjugate(ops, x, u))
-        t = ops.power(k, _conjugate(ops, x, v))
-        return ops.mul(x, ops.mul(s, ops.power(-k, ops.mul(ops.inv(s), t))))
-
-    def level_sum(k, x, u, v):
-        s = ops.power(k, _conjugate(ops, x, u))
-        w = _conjugate(ops, ops.mul(x, s), v)
-        return ops.mul(x, ops.power(-k, ops.mul(s, ops.power(k, w))))
-
-    def level_inverse(k, x, u):
-        s = ops.power(k, _conjugate(ops, x, u))
-        return ops.mul(x, ops.mul(s, ops.power(-k, ops.inv(s))))
-
     return Irq(name=name, metric=metric, sample=sample, base=neutral,
                epsilon=epsilon, group=ops, layer_dims=layer_dims,
                divide=divide, point_reflection=point_reflection,
-               reflection_isometry=reflection_isometry,
-               level_difference=level_difference, level_sum=level_sum,
-               level_inverse=level_inverse, level_star=level_star)
+               reflection_isometry=reflection_isometry, chart=Chart(ops))
 
 
 def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):

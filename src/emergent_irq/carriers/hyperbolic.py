@@ -4,10 +4,10 @@ Points are (x, y) with y > 0 and metric ds^2 = (dx^2 + dy^2) / y^2.  The
 half-plane is the group of isometries z -> b + e^t z (the AN factor of
 SL(2, R)), with law (b1, t1)(b2, t2) = (b1 + e^t1 b2, t1 + t2) in the
 chart (b, t) = (x, log y) and neutral element i = (0, 0).  With delta the
-geodesic scaling about i by eps, the carrier is :func:`make_group_irq`'s
-x delta(x^-1 u) = exp_x(eps log_x u), whose limit inverse is the geodesic
-point reflection.  delta is not a morphism, so the carrier is not
-distributive and exposes no ``group`` (limits extrapolated in (x, y)
+geodesic scaling about i by eps, the carrier's chart is that group, and
+its star x delta(x^-1 u) = exp_x(eps log_x u) has the geodesic point
+reflection as limit inverse.  delta is not a morphism, so the carrier is
+not distributive and exposes no ``group`` (limits extrapolated in (x, y)
 would leave the half-plane).  delta scales the distance s from i: the
 point at distance s in the unit direction (c, n), whose tangent at i is
 s (-n, c), has
@@ -18,13 +18,11 @@ s (-n, c), has
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from ..core import Irq, _level_power
+from ..core import Chart, Irq, _level_power
 from ..errors import CarrierConstructionError, InvalidPointError
-from .group import GroupOps, make_group_irq
+from .group import GroupOps
 
 __all__ = ["make_hyperbolic", "exp_map", "log_map", "geodesic_distance",
            "reflect"]
@@ -62,6 +60,7 @@ def geodesic_distance(p, q):
                                               / (p[..., 1] * q[..., 1])))
 
 
+@np.errstate(**_QUIET)
 def _to_chart(x, u):
     """x^-1 u in the chart, for public points x and u."""
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
@@ -69,6 +68,7 @@ def _to_chart(x, u):
                      np.log(u[..., 1] / x[..., 1])], axis=-1)
 
 
+@np.errstate(**_QUIET)
 def _from_chart(x, g):
     """The public point x g, which is x itself at g = (0, 0)."""
     x = np.asarray(x, dtype=float)
@@ -114,11 +114,13 @@ def _scale(g, f):
     return _from_polar(f * s, c, n)
 
 
+@np.errstate(**_QUIET)
 def _mul(g, h):
     return np.stack([g[..., 0] + np.exp(g[..., 1]) * h[..., 0],
                      g[..., 1] + h[..., 1]], axis=-1)
 
 
+@np.errstate(**_QUIET)
 def _inv(g):
     return np.stack([-g[..., 0] * np.exp(-g[..., 1]), -g[..., 1]], axis=-1)
 
@@ -157,8 +159,8 @@ def reflect(p, q):
 def make_hyperbolic(epsilon, name="hyperbolic"):
     """Geodesic-contraction irq on the upper half-plane, 0 < epsilon < 1.
 
-    Its level operations are :func:`make_group_irq`'s at i, carried to x by
-    the isometry x: op_k(x, u, v) = x op_k(i, x^-1 u, x^-1 v).
+    Its chart is the ax+b group, entered and left by the isometries x:
+    op_k(x, u, v) = x op_k(i, x^-1 u, x^-1 v).
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
@@ -167,23 +169,14 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
     eps = np.float64(epsilon)
     base = np.array([0.0, 1.0])
 
+    @np.errstate(**_QUIET)
     def delta_power(m, g):
         # A block's levels broadcast against g, and s has no pair axis.
         f = _level_power(eps, m)
         return _scale(g, f[..., 0] if f.ndim else f)
 
-    chart = make_group_irq(
-        GroupOps(mul=_mul, inv=_inv, neutral=np.zeros(2),
-                 delta_power=delta_power),
-        partial(delta_power, 1), partial(delta_power, -1), name=name,
-        epsilon=epsilon)
-
-    def translated(op):
-        def level_op(k, x, *points):
-            with np.errstate(**_QUIET):
-                return _from_chart(x, op(k, chart.base, *(
-                    _to_chart(x, p) for p in points)))
-        return level_op
+    chart = Chart(GroupOps(mul=_mul, inv=_inv, neutral=np.zeros(2),
+                           delta_power=delta_power), _to_chart, _from_chart)
 
     def sample(seed, count, radius):
         rng = np.random.default_rng(seed)
@@ -199,8 +192,4 @@ def make_hyperbolic(epsilon, name="hyperbolic"):
 
     return Irq(name=name, metric=geodesic_distance, sample=sample, base=base,
                epsilon=epsilon, divide=divide, point_reflection=reflect,
-               reflection_isometry=True,
-               level_star=translated(chart.level_star),
-               level_difference=translated(chart.level_difference),
-               level_sum=translated(chart.level_sum),
-               level_inverse=translated(chart.level_inverse))
+               reflection_isometry=True, chart=chart)

@@ -47,6 +47,7 @@ from .errors import CarrierConstructionError, InvalidExponentError
 __all__ = [
     "MAX_ITER_EXPONENT",
     "DEFAULT_LEVELS",
+    "Chart",
     "Irq",
     "AxiomReport",
     "star_k",
@@ -67,6 +68,68 @@ DEFAULT_LEVELS = (-2, -1, 1, 2, 3)
 
 
 @dataclass(frozen=True, eq=False)
+class Chart:
+    """The level operations of a carrier whose star is x delta(x^-1 u) in
+    a group, evaluated from that group alone.
+
+    Iterating star cancels the basepoint inside each step, so
+    x *_k u = x delta^k(x^-1 u) for any delta, and with s = delta^k(x^-1 u)
+    and t = delta^k(x^-1 v) the derived operations rearrange to
+
+        difference_k(x, u, v) = x (s delta^-k(s^-1 t))
+        sum_k(x, u, v)        = x delta^-k(s delta^k((x s)^-1 v))
+        inverse_k(x, u)       = x (s delta^-k(s^-1))
+
+    the composed definitions in real arithmetic, with every small factor
+    kept at its own scale rather than rounded at the basepoint's magnitude
+    and re-amplified by delta^-k.  k is a nonzero int or a block of levels,
+    handed on to ``group.power``.
+
+    :param group: a ``carriers.group.GroupOps``; the forms use its ``mul``,
+        ``inv`` and ``power``.
+    :param enter, leave: optional ``(x, u) -> x^-1 u`` and ``(x, g) -> x g``
+        between public points and the chart (the half-plane's (x, y));
+        the group product by default.
+    :raises CarrierConstructionError: if delta moves the neutral element.
+    """
+
+    group: Any
+    enter: Callable[..., Any] | None = None
+    leave: Callable[..., Any] | None = None
+
+    def __post_init__(self):
+        neutral = np.asarray(self.group.neutral, dtype=float)
+        moved = float(np.max(np.abs(self.group.power(1, neutral) - neutral)))
+        if not np.isfinite(moved) or moved > 1e-12:
+            raise CarrierConstructionError(
+                f"delta must fix the neutral element; moved it by {moved:.3e}")
+
+    def _leave(self, x, g):
+        return (self.leave or self.group.mul)(x, g)
+
+    def _step(self, k, x, u):
+        grp = self.group
+        g = grp.mul(grp.inv(x), u) if self.enter is None else self.enter(x, u)
+        return grp.power(k, g)
+
+    def star(self, k, x, u):
+        return self._leave(x, self._step(k, x, u))
+
+    def difference(self, k, x, u, v):
+        grp, s, t = self.group, self._step(k, x, u), self._step(k, x, v)
+        return self._leave(x, grp.mul(s, grp.power(-k, grp.mul(grp.inv(s), t))))
+
+    def sum(self, k, x, u, v):
+        grp, s = self.group, self._step(k, x, u)
+        w = self._step(k, self._leave(x, s), v)
+        return self._leave(x, grp.power(-k, grp.mul(s, w)))
+
+    def inverse(self, k, x, u):
+        grp, s = self.group, self._step(k, x, u)
+        return self._leave(x, grp.mul(s, grp.power(-k, grp.inv(s))))
+
+
+@dataclass(frozen=True, eq=False)
 class Irq:
     """An idempotent right quasigroup carrier.
 
@@ -76,9 +139,9 @@ class Irq:
         the given radius around ``base``; deterministic in the seed.
     :param base: distinguished point (group neutral, ball center).
     :param star: ``(x, u) -> x * u``, broadcasting over leading axes;
-        defaults to ``level_star`` at 1.
+        defaults to the chart's level star at 1.
     :param back: ``(x, u) -> x \\ u``, inverse of ``star`` in u; defaults
-        to ``level_star`` at -1.
+        to the chart's level star at -1.
     :param size: cardinality for finite carriers, else None.
     :param epsilon: contraction ratio of ``star(x, .)`` when there is one.
     :param group: optional group structure behind the operations
@@ -93,39 +156,22 @@ class Irq:
     :param reflection_isometry: whether that reflection preserves the
         carrier metric exactly (geodesic symmetry), enabling the isometry
         check in the symmetric-space reports.
-    :param level_difference: optional stable evaluator ``(k, x, u, v)`` for
-        ``difference_k``.  The composed definition forms intermediate points
-        whose displacement from the basepoint shrinks like eps^k and is then
-        re-amplified by back_k, so float rounding grows like eps^-k; a
-        carrier that can rearrange the same expression to keep small
-        quantities separate (group carriers, geodesic carriers) supplies the
-        rearrangement here.  Must equal the composed definition exactly in
-        real arithmetic.
-    :param level_sum: optional stable evaluator ``(k, x, u, v)`` for
-        ``sum_k``, same contract.
-    :param level_inverse: optional stable evaluator ``(k, x, u)`` for
-        ``inverse_k``, same contract.
-    :param level_star: optional evaluator ``(k, x, u) -> x *_k u`` for any
-        nonzero int k, negative k expanding, so ``back_k`` at k is
-        ``level_star`` at -k.  Must equal the iterated definition in real
-        arithmetic.  Carriers whose k-fold star collapses to a closed form
-        (a dilation power, a geodesic scaling, a parity rule) set it, so a
-        level costs one carrier step instead of |k|.  ``make_group_irq``
-        sets it even without a closed-form ``delta_power``; a level then
-        costs |k| dilation steps.
+    :param chart: optional :class:`Chart` in which star is
+        ``x delta(x^-1 u)``: a level then costs one power of delta, not |k|
+        steps.  Without it, the level operations iterate and compose as
+        the definitions read.
     :raises CarrierConstructionError: when ``star`` or ``back`` is omitted
-        and there is no ``level_star`` to take it from.
+        and there is no chart to take it from.
 
     The carrier's dimension, uniformity and exactness follow from the
-    fields above (see :attr:`dim`, :attr:`is_uniform`, :attr:`is_exact`).
+    fields above (see :attr:`dim`, :attr:`is_uniform`, :attr:`is_exact`),
+    and ``level_star``, ``level_difference``, ``level_sum`` and
+    ``level_inverse`` are the chart's four methods, None without a chart.
 
-    On a uniform carrier with ``level_star``, the limits hand the four
-    level hooks a block of levels at once: k is then an int array shaped to
-    broadcast against the points, with the levels on its leading axis, and
-    the hook returns the values along it.  A group carrier without
-    a closed-form ``delta_power`` (the perturbed plane) evaluates the block
-    as one chain of max|k| dilation steps, the deeper levels carried along
-    while the shallower ones stop.
+    On a uniform carrier with a chart, the limits hand the level operations
+    a block of levels at once: k is then an int array shaped to broadcast
+    against the points, with the levels on its leading axis, and the
+    operation returns the values along it (see ``GroupOps.power``).
 
     Carriers compare and hash by identity, as their fields hold arrays.
     """
@@ -143,18 +189,22 @@ class Irq:
     divide: Callable[..., Any] | None = None
     point_reflection: Callable[..., Any] | None = None
     reflection_isometry: bool = False
-    level_difference: Callable[..., Any] | None = None
-    level_sum: Callable[..., Any] | None = None
-    level_inverse: Callable[..., Any] | None = None
-    level_star: Callable[..., Any] | None = None
+    chart: Chart | None = None
+    level_star: Callable[..., Any] | None = field(init=False, repr=False)
+    level_difference: Callable[..., Any] | None = field(init=False, repr=False)
+    level_sum: Callable[..., Any] | None = field(init=False, repr=False)
+    level_inverse: Callable[..., Any] | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        for op in ("star", "difference", "sum", "inverse"):
+            chart_op = getattr(self.chart, op, None)  # None without a chart
+            object.__setattr__(self, f"level_{op}", chart_op)
         for op, k in (("star", 1), ("back", -1)):
             if getattr(self, op) is None:
-                if self.level_star is None:
+                if self.chart is None:
                     raise CarrierConstructionError(
-                        f"carrier {self.name!r} needs {op} or level_star")
-                object.__setattr__(self, op, partial(self.level_star, k))
+                        f"carrier {self.name!r} needs {op} or a chart")
+                object.__setattr__(self, op, partial(self.chart.star, k))
 
     @property
     def dim(self):
@@ -229,7 +279,7 @@ def _inverse(irq, k, x, u):
 
 def star_k(irq, k, x, u):
     """Level-k star: |k|-fold star for k > 0, |k|-fold back for k < 0,
-    in one step when the carrier sets ``level_star``."""
+    in one step when the carrier has a chart."""
     return _star(irq, _require_level(k), x, u)
 
 
@@ -273,12 +323,12 @@ def _at_levels(irqs, level, ks, *points):
 
     The carriers in ``irqs`` see the levels as one array shaped
     (B,) + (1,) * ndim, one axis more than the points have, so their
-    level hooks broadcast the whole block at once.  The bundled hooks
+    level operations broadcast the whole block at once.  The bundled charts
     treat each level on its own (the Carnot bracket works row by row), so
-    a level rounds as its one-level call does.  A carrier without
-    ``level_star`` iterates its own star and back, which may judge
-    convergence over their whole input; there each level is evaluated on
-    its own at an int k, as ``star_k`` and its kin evaluate it.
+    a level rounds as its one-level call does.  A carrier without a chart
+    iterates its own star and back, which may judge convergence over their
+    whole input; there each level is evaluated on its own at an int k, as
+    ``star_k`` and its kin evaluate it.
     """
     _require_level(int(ks[0]))
     _require_level(int(ks[-1]))

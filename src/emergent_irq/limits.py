@@ -193,11 +193,11 @@ def limit(irq, value_at, cfg, what):
     trail, the next block runs to the stop level its ratio to the step
     before predicts; otherwise it has window + 1 levels, so a trail that
     bottoms out and regrows is not extrapolated past where it raises.
-    The loop asks for one level at a time on carriers without
-    ``level_star``, whose own star and back may judge convergence over
-    the whole block, and from the first block that raises a library error
-    on: that block's levels are evaluated again one by one, so the error
-    comes from the level where a one-level loop meets it.
+    The loop asks for one level at a time on carriers without a chart,
+    whose own star and back may judge convergence over the whole block,
+    and from the first block that raises a library error on: that block's
+    levels are evaluated again one by one, so the error comes from the
+    level where a one-level loop meets it.
 
     A group carrier without a closed-form dilation power (the perturbed
     plane) runs each block as one chain of dilation steps, and a block

@@ -21,7 +21,7 @@ from emergent_irq.carriers import (GradedLieAlgebra, build_carrier,
 from emergent_irq.carriers.carnot import bch_product, dilation
 from emergent_irq.carriers.group import _additive_group
 from emergent_irq.carriers.hyperbolic import _from_polar, _polar, _scale
-from emergent_irq.core import _level_power, star_k
+from emergent_irq.core import Chart, _level_power, star_k
 from emergent_irq.errors import (CarrierConstructionError, InvalidPointError,
                                  NonConvergenceError, UnsupportedCarrierError)
 from heisenberg_law import heis_dilate, heis_inv, heis_mul
@@ -762,11 +762,17 @@ def test_group_irq_rejects_delta_moving_neutral():
     with pytest.raises(CarrierConstructionError, match="neutral"):
         make_group_irq(_additive_group(1), lambda g: g + 1.0,
                        lambda g: g - 1.0, name="shifted")
+    # The chart checks it, so carriers built on a bare Chart (hyperbolic,
+    # dihedral) are held to it too.
+    with pytest.raises(CarrierConstructionError, match="neutral"):
+        Chart(_additive_group(
+            2, delta_power=lambda m, g: np.asarray(g, dtype=float) + m))
 
 
 def test_group_irq_reads_delta_facts_from_its_group():
     # make_group_irq keeps the closed-form power and the morphism flag that
-    # its GroupOps states, and its level star runs through that power.
+    # its GroupOps states, and its level star runs through that power (the
+    # chart's first call, at 1, checks that delta fixes the neutral element).
     calls = []
 
     def delta_power(m, g):
@@ -780,7 +786,7 @@ def test_group_irq_reads_delta_facts_from_its_group():
     assert irq.group.delta_power is delta_power and irq.group.is_morphism
     x, u = np.array([1.0, -1.0]), np.array([3.0, 1.0])
     assert np.array_equal(irq.level_star(3, x, u), x + 0.125 * (u - x))
-    assert calls == [3]
+    assert calls == [1, 3]
 
 
 _FILIFORM4 = GradedLieAlgebra.from_brackets((2, 1, 1, 1), [

@@ -222,16 +222,14 @@ def test_derivative_at_one_basepoint_of_a_batch():
 
 
 def test_carrier_without_level_hooks_matches():
-    # Without level_star every level iterates star or back |k| times, one
+    # Without a chart every level iterates star or back |k| times, one
     # level per block.  The composed difference's trail dips to 8.6e-11 at
     # level 34 and regrows past 1 as back_k amplifies rounding by 2^k: the
     # window never closed, so the rebound guard must raise rather than let
     # the window close later on saturated iterates, about 0.95 from
     # x - u + v.  Extrapolated, one step is exact on this linear carrier
     # and every limit settles at level 4.
-    eu = dataclasses.replace(make_euclidean(2, 0.5), level_star=None,
-                             level_difference=None, level_sum=None,
-                             level_inverse=None)
+    eu = dataclasses.replace(make_euclidean(2, 0.5), chart=None)
     points = tuple(eu.sample(1, 3, 1.0))
     for name in OPS:
         got = _assert_same(eu, name, points, LimitConfig(tol=1e-9))

@@ -118,10 +118,10 @@ DIGESTS = {
         0, 'ff465caf795d6d003a93724925277dff489aeac73a8f970167ed7315fff106a5',
         '6.5 6.6 6.8 6.8-oracle L1 L2 L2-underline L3 L4'),
     'hyperbolic-defaults: hyperbolic axioms': (
-        1, '4e70328c63f18bedf432ced5143d4bd440cb4e2543f2722aadf587677a7a9767',
+        1, '0a6c41f18d6ecb6c8d24818ff4794ea85e4b6139e17af7a2d6c58a99b480d5a6',
         '3.4a !3.4b !3.4c !3.4d !3.4e 3.4f 3.4g 3.5h 3.5i !3.5j !3.5k P1 P2'),
     'hyperbolic-defaults: hyperbolic converge': (
-        0, 'bc6be3797d1f4480646fc0953f8218ad85a9716b09ba86669de3183f93006ab5',
+        0, 'cf28cee811ad20e60df0555440513b249881d19f2a42569658ca86ee6f18111c',
         '5.1-dif@33 5.1-inv@31 5.1-sum@36'),
     'hyperbolic-defaults: hyperbolic derivative': (
         0, 'f9bd1f5ae5001ce874f5f0e1fe1fa25e05db5507915a22cc57dc4765e8aa89fc',
@@ -137,13 +137,13 @@ DIGESTS = {
         0, '3eb83a9fb2da1a75509fbfd51b8c18270f3f6679dd28b2d43cd1c419e869431c',
         '6.5 6.6 6.8 6.8-iso 6.8-oracle L1 L2 L2-underline L3 L4'),
     'nonlinear-deep: hyperbolic axioms': (
-        0, '9fa04a8afa38dbcc9976e252d81361d8155e537f3ece53acfe95a119e3af052b',
+        0, 'a468c9288d531650411cd0caede32e2917679569c78aa6ee197e5cc26af82661',
         '3.4a 3.4b 3.4c 3.4d 3.4e 3.4f 3.4g 3.5h 3.5i 3.5j 3.5k P1 P2'),
     'nonlinear-deep: hyperbolic converge': (
-        0, '028fa573e43e148aeb8d05b36c7d2e9110827b000ef4ea8fdeb8d154a37316b7',
+        0, 'e0f5c1046f1bfd84d7c6a99255ebfe9ecaf4f42c080bca191626155087062791',
         '5.1-dif@19 5.1-inv@19 5.1-sum@19'),
     'nonlinear-deep: hyperbolic derivative': (
-        0, '9306b6ff1c9786972525ffa276b82092b38a1a83467d5f30d3b03358491c9752',
+        0, 'f019059d3b2beeb3ba62ee4a4fa6ee247aa7afbc0e01ce0c8d361c1b7cca2ba0',
         'Tf-id@4 Tf-morphism'),
     'nonlinear-deep: hyperbolic divide': (
         0, '98aeb0e0bd96485aa425f73e47ee531870ec4f0dbf514d4d07c7f11ffa407450',
