@@ -5,9 +5,9 @@ from __future__ import annotations
 from ..errors import CarrierConstructionError
 from .carnot import (GradedLieAlgebra, engel_algebra, heisenberg_algebra,
                      homogeneous_norm, layer_max_norm, load_algebra,
-                     make_carnot, make_engel, make_heisenberg)
+                     make_carnot, make_engel, make_euclidean,
+                     make_heisenberg)
 from .dihedral import make_dihedral_quandle
-from .euclidean import make_euclidean
 from .group import GroupOps, make_group_irq, make_perturbed_plane
 from .hyperbolic import (exp_map, geodesic_distance, log_map, make_hyperbolic,
                          reflect)

@@ -16,6 +16,9 @@ The carrier built from (algebra, eps) is the uniform irq
 x * u = x delta_eps(x^-1 u) with the layer-max metric
 d(x, y) = max_i ||layer_i(x^-1 y)||_2.
 
+Step 1 is Euclidean R^n: the product is +, delta_eps = eps * id, the
+layer-max metric is the Euclidean norm and x y^-1 x = 2x - y an isometry.
+
 The homogeneous (quasi)norm ||g|| = max_i ||g_i||^(1/i) is also provided;
 it scales exactly linearly under dilations but is kept separate from the
 residual metric, whose fractional roots would amplify rounding noise.
@@ -24,7 +27,6 @@ residual metric, whose fractional roots would amplify rounding noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -44,13 +46,29 @@ __all__ = [
     "layer_max_norm",
     "make_carnot",
     "make_engel",
+    "make_euclidean",
     "make_heisenberg",
 ]
 
 MAX_STEP = 4
 
 
-@dataclass(frozen=True, eq=False)
+def _layer_dims(layer_dims):
+    # At most MAX_STEP integral numbers >= 1: 2.0 reads as 2, 2.5 and "2" fail.
+    try:
+        raw = tuple(layer_dims)
+        dims = tuple(int(d) for d in raw)
+    except (TypeError, ValueError, OverflowError):  # raised below, so that the CLI exits 2
+        raw = dims = ()
+    if not dims or min(dims) < 1 or dims != raw:
+        raise CarrierConstructionError(
+            f"layer dims must be positive integers, got {layer_dims!r}")
+    if len(dims) > MAX_STEP:
+        raise CarrierConstructionError(
+            f"step {len(dims)} exceeds the supported maximum {MAX_STEP}")
+    return dims
+
+
 class GradedLieAlgebra:
     """Stratified nilpotent Lie algebra given by structure constants.
 
@@ -58,54 +76,56 @@ class GradedLieAlgebra:
     basis ordered layer by layer.  Construction validates antisymmetry, the
     grading (which also forces nilpotency at the declared step) and the
     Jacobi identity, and rejects steps beyond :data:`MAX_STEP`, where the
-    truncated product would stop being exact.  Algebras compare and hash
-    by identity.
+    truncated product would stop being exact.  :meth:`from_brackets`
+    builds in time and memory linear in dim and the brackets given, and
+    the dense ``structure`` on first read.  Algebras compare and hash by
+    identity.
     """
 
-    layer_dims: tuple[int, ...]
-    structure: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise CarrierConstructionError(
-                f"layer dims must be positive integers, got {self.layer_dims}")
-        if len(dims) > MAX_STEP:
-            raise CarrierConstructionError(
-                f"step {len(dims)} exceeds the supported maximum {MAX_STEP}")
-        c = np.asarray(self.structure, dtype=float)
+    def __init__(self, layer_dims, structure):
+        dims = _layer_dims(layer_dims)
+        c = np.asarray(structure, dtype=float)
         n = sum(dims)
         if c.shape != (n, n, n):
             raise CarrierConstructionError(
                 f"structure constants must have shape {(n, n, n)}, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise CarrierConstructionError("structure constants must be finite")
-        object.__setattr__(self, "layer_dims", dims)
-
         atol = 1e-12 * max(1.0, float(np.max(np.abs(c))))
         anti = np.max(np.abs(c + c.transpose(1, 0, 2)))
         if anti > atol:
             raise CarrierConstructionError(
                 f"antisymmetry fails: max |C[i,j] + C[j,i]| = {anti:.3e}")
-        # Store the antisymmetric part, which the bracket's i < j terms
+        # Keep the antisymmetric part, which the bracket's i < j terms
         # read; exactly antisymmetric constants keep their values.
         c = (c - c.transpose(1, 0, 2)) / 2
-        c.flags.writeable = False
-        object.__setattr__(self, "structure", c)
+        k, i, j = np.nonzero(np.triu(c.transpose(2, 0, 1), 1))
+        self._setup(dims, i, j, k, c[i, j, k])
+
+    def _setup(self, dims, i, j, k, coef):
+        # The brackets [e_i, e_j] = sum of coef e_k over i < j, sorted by
+        # (k, i, j), with every coef nonzero and finite.
+        self.layer_dims, self._brackets = dims, (i, j, k, coef)
+        self._structure = None
         deg = self.degrees
-        bad = np.nonzero(np.abs(c) > 0)
-        for i, j, k in zip(*bad):
-            if deg[i] + deg[j] != deg[k]:
-                raise CarrierConstructionError(
-                    f"grading fails: [e{i}, e{j}] (degrees {deg[i]}+{deg[j]}) "
-                    f"hits e{k} of degree {deg[k]}")
-        jac = (np.einsum("bcm,amd->abcd", c, c)
-               + np.einsum("cam,bmd->abcd", c, c)
-               + np.einsum("abm,cmd->abcd", c, c))
-        worst = float(np.max(np.abs(jac)))
-        if worst > atol:
+        wrong = np.flatnonzero(deg[i] + deg[j] != deg[k])
+        if wrong.size:
+            w = wrong[0]
             raise CarrierConstructionError(
-                f"Jacobi identity fails: max residual {worst:.3e}")
+                f"grading fails: [e{i[w]}, e{j[w]}] (degrees {deg[i[w]]}+"
+                f"{deg[j[w]]}) hits e{k[w]} of degree {deg[k[w]]}")
+        # Graded, a double bracket lands in degree >= 3, so Jacobi holds up
+        # to step 2; skipping the check there spares its n^4 arrays.
+        if self.step >= 3:
+            c = self.structure
+            atol = 1e-12 * max(1.0, float(np.max(np.abs(coef), initial=0.0)))
+            jac = (np.einsum("bcm,amd->abcd", c, c)
+                   + np.einsum("cam,bmd->abcd", c, c)
+                   + np.einsum("abm,cmd->abcd", c, c))
+            worst = float(np.max(np.abs(jac)))
+            if worst > atol:
+                raise CarrierConstructionError(
+                    f"Jacobi identity fails: max residual {worst:.3e}")
         self._build_terms()
 
     def _build_terms(self):
@@ -117,24 +137,34 @@ class GradedLieAlgebra:
         # are padded with (0, 0) at coefficient 1, a term that is exactly 0
         # for finite input.  Slots are laid out slot-major, so slot w of
         # every coordinate is one contiguous run of the gathered terms.
-        c = self.structure
+        i, j, k, c = self._brackets
         first, n = self.layer_dims[0], self.dim
-        terms = [[(i, j) for i in range(n) for j in range(i + 1, n)
-                  if c[i, j, k] != 0] for k in range(first, n)]
-        width = max([1] + [len(row) for row in terms])
+        q = k - first
+        counts = np.bincount(q, minlength=n - first)
+        width = max(1, int(counts.max(initial=0)))
+        slot = np.arange(len(q)) - (np.cumsum(counts) - counts)[q]
         pairs = np.zeros((width, n - first, 2), dtype=np.intp)
         coef = np.ones((width, n - first))
-        for q, row in enumerate(terms):
-            for w, (i, j) in enumerate(row):
-                pairs[w, q] = i, j
-                coef[w, q] = c[i, j, first + q]
+        pairs[slot, q] = np.stack([i, j], axis=-1)
+        coef[slot, q] = c
         # A slot whose coefficients are all 1 skips its multiply, which
         # would be exact: always multiplying cost ~10% of `pointwise`
         # call_ms_p50 in perfbench (2-vCPU x86 host, NumPy 2.4).
         i, j = pairs.reshape(-1, 2).T
-        object.__setattr__(self, "_terms", (
-            np.concatenate([i, j]), np.concatenate([j, i]),
-            [None if np.all(row == 1) else row for row in coef]))
+        self._terms = (np.concatenate([i, j]), np.concatenate([j, i]),
+                       [None if np.all(row == 1) else row for row in coef])
+
+    @property
+    def structure(self):
+        """The constants as a read-only (dim, dim, dim) array."""
+        if self._structure is None:
+            i, j, k, coef = self._brackets
+            c = np.zeros((self.dim,) * 3)
+            c[i, j, k] = coef
+            c[j, i, k] = -coef
+            c.flags.writeable = False
+            self._structure = c
+        return self._structure
 
     @property
     def dim(self):
@@ -194,16 +224,16 @@ class GradedLieAlgebra:
         out.T[first:] = acc
         return out
 
-    @staticmethod
-    def from_brackets(layer_dims, entries):
+    @classmethod
+    def from_brackets(cls, layer_dims, entries):
         """Build from sparse bracket entries [(i, j, {k: coeff}), ...].
 
         Each unordered basis pair may appear once; the (j, i) bracket is
         filled in by antisymmetry.
         """
-        dims = tuple(int(d) for d in layer_dims)
+        dims = _layer_dims(layer_dims)
         n = sum(dims)
-        c = np.zeros((n, n, n))
+        terms = {}
         seen = set()
         for i, j, coeffs in entries:
             i, j = int(i), int(j)
@@ -217,14 +247,22 @@ class GradedLieAlgebra:
                 raise CarrierConstructionError(
                     f"duplicate bracket entry for pair ({i}, {j})")
             seen.add((min(i, j), max(i, j)))
+            sign = 1.0 if i < j else -1.0
             for k, val in coeffs.items():
                 k = int(k)
                 if not 0 <= k < n:
                     raise CarrierConstructionError(
                         f"bracket target index {k} out of range for dim {n}")
-                c[i, j, k] += float(val)
-                c[j, i, k] -= float(val)
-        return GradedLieAlgebra(dims, c)
+                key = (k, min(i, j), max(i, j))
+                terms[key] = terms.get(key, 0.0) + sign * float(val)
+        keys = sorted(key for key, val in terms.items() if val != 0)
+        k, i, j = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+        coef = np.array([terms[key] for key in keys], dtype=float)
+        if not np.all(np.isfinite(coef)):
+            raise CarrierConstructionError("structure constants must be finite")
+        algebra = cls.__new__(cls)
+        algebra._setup(dims, i, j, k, coef)
+        return algebra
 
 
 def load_algebra(spec):
@@ -251,10 +289,12 @@ def load_algebra(spec):
     if unknown:
         raise CarrierConstructionError(
             f"unknown algebra keys {sorted(unknown)}; expected layers, brackets")
-    if "layers" not in spec:
-        raise CarrierConstructionError("algebra spec needs a layers list")
+    layers, brackets = spec.get("layers"), spec.get("brackets", [])
+    if not isinstance(layers, list) or not isinstance(brackets, list):
+        raise CarrierConstructionError(
+            "algebra spec needs a layers list and, if any, a brackets list")
     entries = []
-    for pos, item in enumerate(spec.get("brackets", [])):
+    for pos, item in enumerate(brackets):
         if not isinstance(item, dict) or set(item) - {"i", "j", "coeffs"}:
             raise CarrierConstructionError(
                 f"brackets[{pos}] must be an object with keys i, j, coeffs")
@@ -264,7 +304,7 @@ def load_algebra(spec):
                              for k, v in dict(item.get("coeffs", {})).items()}))
         except (KeyError, TypeError, ValueError) as err:
             raise CarrierConstructionError(f"bad brackets[{pos}]: {err}") from err
-    return GradedLieAlgebra.from_brackets(spec["layers"], entries)
+    return GradedLieAlgebra.from_brackets(layers, entries)
 
 
 def heisenberg_algebra():
@@ -357,10 +397,13 @@ def make_carnot(algebra, epsilon, name=None):
     """Uniform irq x * u = x delta_eps(x^-1 u) on the Carnot group of algebra.
 
     Requires 0 < epsilon < 1.  The metric is the layer-max norm of x^-1 y
-    and the sampler rejection-samples its ball around the origin.  Right
-    division is closed-form: the graded back-substitution solves
-    y *_k a = b layer by layer in step + 1 products, exactly in real
-    arithmetic.
+    and the sampler rejection-samples its ball around the origin from the
+    enclosing cube.  Right division is closed-form: the graded
+    back-substitution solves y *_k a = b layer by layer in step + 1
+    products, exactly in real arithmetic.  At step 1 the product is +, the
+    metric is the Euclidean norm, the sampler draws its ball as a
+    direction times a radius, and the carrier declares its point
+    reflection 2x - y an isometry.
     """
     if not isinstance(algebra, GradedLieAlgebra):
         algebra = load_algebra(algebra)
@@ -411,9 +454,21 @@ def make_carnot(algebra, epsilon, name=None):
     return make_group_irq(group, dilation(algebra, epsilon),
                           dilation(algebra, 1.0 / epsilon),
                           name=name or f"carnot-step{algebra.step}",
-                          metric=metric, sample=sample, epsilon=epsilon,
+                          metric=metric, epsilon=epsilon,
+                          # Cube rejection keeps 2.5e-8 of its draws at R^20.
+                          sample=None if algebra.step == 1 else sample,
                           layer_dims=dims, divide=divide,
-                          point_reflection=point_reflection)
+                          point_reflection=point_reflection,
+                          reflection_isometry=algebra.step == 1)
+
+
+def make_euclidean(dim, epsilon, name=None):
+    """Irq on R^dim with star(x, u) = x + epsilon (u - x): the step-1
+    Carnot group of one abelian layer, where right division reads
+    y = (b - epsilon^k a) / (1 - epsilon^k).  Requires dim >= 1.
+    """
+    algebra = GradedLieAlgebra.from_brackets((dim,), [])
+    return make_carnot(algebra, epsilon, name=name or f"euclidean{algebra.dim}")
 
 
 def make_heisenberg(epsilon, name="heisenberg"):

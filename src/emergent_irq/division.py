@@ -3,11 +3,12 @@ r"""Right division, loop isotopes, and the symmetric-space layer.
 Right division upgrades the irq to a quasigroup at every level: y = b /_k a
 is the solution of y *_k a = b.  Two methods are supported:
 
-* ``closed_form``: the carrier solves directly (Euclidean, hyperbolic,
-  dihedral, Carnot).  On a Carnot group, y = b m^-1 with c = b^-1 a and
-  m = delta^k(m c) solved layer by layer: layer j of m c is m_j plus
-  brackets of lower layers, so m_j = eps^(jk) q_j / (1 - eps^(jk)) with
-  q = m_{<j} c, exact in real arithmetic;
+* ``closed_form``: the carrier solves directly (hyperbolic, dihedral,
+  Carnot, Euclidean as the step-1 Carnot group).  On a Carnot group,
+  y = b m^-1 with c = b^-1 a and m = delta^k(m c) solved layer by layer:
+  layer j of m c is m_j plus brackets of lower layers, so
+  m_j = eps^(jk) q_j / (1 - eps^(jk)) with q = m_{<j} c, exact in real
+  arithmetic.  At step 1 this is y = (b - eps^k a) / (1 - eps^k);
 * ``fixed_point``: on a uniform group carrier, y = b m^-1 where m is the
   fixed point of the contraction m <- delta^k(m b^-1 a), iterated from
   delta^k(b^-1 a).  For a morphism delta the iterates are the partial

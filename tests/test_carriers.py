@@ -1,6 +1,7 @@
 """Carrier constructors: closed forms, oracles, and validation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,9 +57,38 @@ def test_euclidean_reflection_and_flags():
     assert np.allclose(eu.base, np.zeros(3))
 
 
+def test_euclidean_samples_and_builds_at_large_dims():
+    # The Euclidean ball is drawn as a direction times a radius at any dim
+    # (rejection from the cube would keep 2.5e-8 of its candidates at dim
+    # 20), and the one-layer algebra is built from its brackets alone, so
+    # no dense dim^3 array of zero structure constants is allocated: 8 MB
+    # at dim 100.
+    tracemalloc.start()
+    try:
+        eu = make_euclidean(100, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    for dim in (20, 100):
+        eu = make_euclidean(dim, 0.5)
+        pts = eu.sample(3, 50, 2.0)
+        assert pts.shape == (50, dim)
+        assert float(np.max(np.linalg.norm(pts, axis=-1))) <= 2.0
+        assert float(np.max(eu.metric(pts, 2.0 * pts))) <= 2.0
+    assert make_euclidean(2.0, 0.5).name == "euclidean2"
+
+
 def test_euclidean_construction_errors():
     with pytest.raises(CarrierConstructionError):
         make_euclidean(0, 0.5)
+    # The dim is the one layer dim of the algebra, validated as such.
+    with pytest.raises(CarrierConstructionError, match="layer dims must be"):
+        make_euclidean(-1, 0.5)
+    with pytest.raises(CarrierConstructionError, match="layer dims must be"):
+        build_carrier("euclidean", {"dim": "-2"})
+    with pytest.raises(CarrierConstructionError, match="layer dims must be"):
+        make_euclidean(2.5, 0.5)
     with pytest.raises(CarrierConstructionError):
         make_euclidean(2, 0.0)
     with pytest.raises(CarrierConstructionError):
@@ -624,6 +654,26 @@ def test_load_algebra_errors():
         load_algebra({"layers": [2, 1],
                       "brackets": [{"i": 0, "j": 1, "coeffs": {"2": 1.0}},
                                    {"i": 0, "j": 1, "coeffs": {"2": "x"}}]})
+    # Layers that are not a list of ints, and brackets that are not a
+    # list, raise CarrierConstructionError rather than TypeError or
+    # ValueError.
+    for spec, match in [({"layers": 3}, "layers list"),
+                        ({"layers": "21"}, "layers list"),
+                        ({"layers": ["x"]}, "layer dims"),
+                        ({"layers": [2.5]}, "layer dims"),
+                        ({"layers": [2, 1], "brackets": 3}, "brackets list"),
+                        ({"layers": [2, 1], "brackets": {"i": 0}},
+                         "brackets list")]:
+        with pytest.raises(CarrierConstructionError, match=match):
+            load_algebra(spec)
+    for layers in (3, ["x"], ["2"], (2.5, 1)):
+        with pytest.raises(CarrierConstructionError, match="layer dims"):
+            GradedLieAlgebra.from_brackets(layers, [])
+    # Integral floats, as JSON may give them, read as ints.
+    alg = load_algebra({"layers": [2.0, 1],
+                        "brackets": [{"i": 0, "j": 1, "coeffs": {"2": 1.0}}]})
+    assert alg.layer_dims == (2, 1)
+    assert np.array_equal(alg.structure, heisenberg_algebra().structure)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert rc == 2 and "unknown parameter" in err
 
 
+def test_bad_carrier_parameters_exit_2(tmp_path, capsys):
+    # A carrier that cannot be built is a bad configuration, not a failed
+    # row: a malformed algebra or a negative dim exits 2 with a diagnostic.
+    for params in [{"carrier": "carnot", "algebra": '{"layers": 3}'},
+                   {"carrier": "carnot", "algebra": '{"layers": ["x"]}'},
+                   {"carrier": "carnot",
+                    "algebra": '{"layers": [2, 1], "brackets": 3}'},
+                   {"carrier": "euclidean", "dim": -2}]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "axioms", **params}))
+        rc, out, err = run(capsys, ["run", "--config", str(cfg)])
+        assert rc == 2 and err.startswith("error:") and out == "", params
+
+
 def test_list_commands(capsys):
     rc, out, _ = run(capsys, ["list-carriers"])
     assert rc == 0

@@ -89,14 +89,14 @@ DIGESTS = {
         0, 'beb10be5652fd23b6feb8e8b1652f6c14c62b45d52e17385cd9df1cbf9fda149',
         'Tf-delta@4 Tf-id@4 Tf-morphism'),
     'group-batch: euclidean divide': (
-        0, '231a8e66e1f242e4593e65d181e55b906a65b7d5d9482490f379fb0c6b6ecc10',
+        0, 'd14f38e98e9e8b1d980f4ee8d33a762a36ab0cd087f2929a9c0419cb65bd4ba1',
         '6.3@-1 6.3@1 6.3@2 6.3@3 6.3-limit@30 6.3-loop@-1 6.3-loop@1 '
         '6.3-loop@2 6.3-loop@3 6.3-prefactor@30'),
     'group-batch: euclidean reconstruct': (
         0, 'e7c3937c9b2da297a0cdeed1785a33d354780b41411f6059f93e888a5321c03b',
         '6.1 6.1i 6.1ii 6.1iii 6.2'),
     'group-batch: euclidean symmetric': (
-        0, '330eb36a3ef1b4f0819f5f2a3065c14c8074014dc971b4380d4214ecf1768672',
+        0, '0a1ecf11df660c5facabcdb96c31b4846c5a24581f9d79a77cad0cfec973a67b',
         '6.5 6.6 6.8 6.8-iso 6.8-oracle L1 L2 L2-underline L3 L4'),
     'group-batch: heisenberg axioms': (
         0, '50ab7949323af4d65212e4814b99eaacea9a652fc881f1e3047df904f3a50b07',
