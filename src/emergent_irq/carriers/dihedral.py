@@ -16,6 +16,8 @@ def make_dihedral_quandle(n, name=None):
 
     In the chart Z/n, delta(g) = -g, so star_k depends only on the parity
     of k: odd levels reflect through x, even levels are the identity in u.
+    delta commutes with the group inverse, so the level inverse takes one
+    power of it.
     Right division y *_k a = b therefore exists only for odd k, and uniquely
     only for odd n, where 2 is invertible and y = (a + b) / 2 mod n.
 
@@ -31,7 +33,8 @@ def make_dihedral_quandle(n, name=None):
 
     group = GroupOps(mul=lambda a, b: np.mod(np.add(a, b), n),
                      inv=lambda a: np.mod(np.negative(a), n),
-                     neutral=np.int64(0), delta_power=power)
+                     neutral=np.int64(0), delta_power=power,
+                     commutes_with_inv=True)
 
     def metric(x, y):
         return (np.asarray(x) != np.asarray(y)).astype(float)

@@ -38,9 +38,11 @@ class GroupOps:
     inverse exists); carriers with dilations supply an exact closed form,
     which must also take m as an int array of levels that broadcasts
     against g, as the limits pass a block of levels.  ``is_morphism``
-    declares delta(gh) = delta(g)delta(h).  A carrier states both here,
-    on its :class:`~emergent_irq.core.Chart`'s group (:func:`make_group_irq`
-    sets that group's ``delta`` and ``delta_inv``).
+    declares delta(gh) = delta(g)delta(h), and ``commutes_with_inv``
+    declares delta(g^-1) = delta(g)^-1 for a delta that need not be a
+    morphism; :attr:`inverse_equivariant` reads either.  A carrier states
+    these facts here, on its :class:`~emergent_irq.core.Chart`'s group
+    (:func:`make_group_irq` sets that group's ``delta`` and ``delta_inv``).
 
     Without ``delta_power``, :meth:`power` iterates delta or ``delta_inv``
     and hands them an input whose leading axis holds independent inputs:
@@ -60,6 +62,13 @@ class GroupOps:
     delta_inv: Callable[..., Any] | None = None
     delta_power: Callable[..., Any] | None = None
     is_morphism: bool = False
+    commutes_with_inv: bool = False
+
+    @property
+    def inverse_equivariant(self):
+        """Whether delta(g^-1) = delta(g)^-1, which every morphism
+        satisfies: the level inverse then needs no power of delta^-1."""
+        return self.is_morphism or self.commutes_with_inv
 
     def power(self, m, g):
         if self.delta_power is not None:
@@ -158,7 +167,9 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
     which fixes 0 and is inverted by Newton's method on its closed-form
     Jacobian.  Limits of iterated operations exist, but the level-k
     operations are not distributive, so group reconstruction must reject
-    this carrier.
+    this carrier.  delta is odd, so it commutes with the group inverse: a
+    level inverse costs one delta^k chain, and its limit is the point
+    reflection 2x - u, an isometry, which the carrier gives as its oracle.
 
     Requires 0 < eta < eps and eps + eta < 1.
     """
@@ -255,5 +266,10 @@ def make_perturbed_plane(epsilon=0.5, eta=0.1, name="perturbed"):
             f"inverse dilation on {name!r}: Newton step {size[0]:.3e} above "
             f"{limit[0]:.3e} after 50 iterations")
 
-    return make_group_irq(_additive_group(2), delta, delta_inverse, name=name,
-                          epsilon=epsilon + eta, layer_dims=(2,))
+    def point_reflection(x, u):
+        return 2.0 * np.asarray(x, dtype=float) - u
+
+    return make_group_irq(_additive_group(2, commutes_with_inv=True), delta,
+                          delta_inverse, name=name, epsilon=epsilon + eta,
+                          layer_dims=(2,), point_reflection=point_reflection,
+                          reflection_isometry=True)

@@ -82,11 +82,17 @@ class Chart:
 
     the composed definitions in real arithmetic, with every small factor
     kept at its own scale rather than rounded at the basepoint's magnitude
-    and re-amplified by delta^-k.  k is a nonzero int or a block of levels,
-    handed on to ``group.power``.
+    and re-amplified by delta^-k.  When delta commutes with the group
+    inverse, delta(h^-1) = delta(h)^-1 (every morphism does, and so does an
+    odd delta on (R^n, +)), delta^-k(s^-1) is g^-1 with g = x^-1 u, and
+
+        inverse_k(x, u)       = x (s g^-1)
+
+    takes one power of delta, not two.  k is a nonzero int or a block of
+    levels, handed on to ``group.power``.
 
     :param group: a ``carriers.group.GroupOps``; the forms use its ``mul``,
-        ``inv`` and ``power``.
+        ``inv``, ``power`` and ``inverse_equivariant``.
     :param enter, leave: optional ``(x, u) -> x^-1 u`` and ``(x, g) -> x g``
         between public points and the chart (the half-plane's (x, y));
         the group product by default.
@@ -107,10 +113,12 @@ class Chart:
     def _leave(self, x, g):
         return (self.leave or self.group.mul)(x, g)
 
-    def _step(self, k, x, u):
+    def _enter(self, x, u):
         grp = self.group
-        g = grp.mul(grp.inv(x), u) if self.enter is None else self.enter(x, u)
-        return grp.power(k, g)
+        return grp.mul(grp.inv(x), u) if self.enter is None else self.enter(x, u)
+
+    def _step(self, k, x, u):
+        return self.group.power(k, self._enter(x, u))
 
     def star(self, k, x, u):
         return self._leave(x, self._step(k, x, u))
@@ -125,7 +133,11 @@ class Chart:
         return self._leave(x, grp.power(-k, grp.mul(s, w)))
 
     def inverse(self, k, x, u):
-        grp, s = self.group, self._step(k, x, u)
+        grp, g = self.group, self._enter(x, u)
+        s = grp.power(k, g)
+        if grp.inverse_equivariant:
+            # delta^-k(s^-1) = delta^-k(delta^k(g^-1)) = g^-1.
+            return self._leave(x, grp.mul(s, grp.inv(g)))
         return self._leave(x, grp.mul(s, grp.power(-k, grp.inv(s))))
 
 

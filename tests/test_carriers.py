@@ -784,6 +784,36 @@ def test_perturbed_delta_inverse_non_finite():
         ops.delta_inv(np.array([1e308, 0.0]))
 
 
+def test_declared_inverse_equivariance_holds():
+    # A chart group that declares delta(g^-1) = delta(g)^-1 (every morphism
+    # does) must satisfy it at every level, forward and inverse: measured
+    # exactly 0 on these samples, as negation commutes with each layer's
+    # scale and the perturbed delta is odd.  The geodesic scaling of the
+    # half-plane does not commute with the ax+b inverse, (x, y) ->
+    # (-x/y, 1/y), and must not declare it: it misses by 0.79 at level 1.
+    carriers = (make_euclidean(3, 0.4), make_heisenberg(0.5),
+                make_engel(0.5), make_carnot(_filiform4_algebra(), 0.5),
+                make_perturbed_plane(0.5, 0.1),
+                make_perturbed_plane(0.3, 0.25), make_dihedral_quandle(9),
+                make_hyperbolic(0.5))
+    for irq in carriers:
+        chart = irq.chart
+        grp = chart.group
+        pts = irq.sample(4, 200, 2.0)
+        g = pts if chart.enter is None else chart.enter(irq.base, pts)
+        miss = [float(np.max(np.abs(grp.power(m, grp.inv(g))
+                                    - grp.inv(grp.power(m, g)))))
+                for m in (1, 3, -1)]
+        if irq.name == "hyperbolic":
+            assert not grp.inverse_equivariant
+            assert miss[0] > 0.5, miss
+        else:
+            assert grp.inverse_equivariant, irq.name
+            assert max(miss) <= 1e-15, (irq.name, miss)
+    assert _additive_group(2, is_morphism=True).inverse_equivariant
+    assert not _additive_group(2).inverse_equivariant
+
+
 def test_perturbed_construction_errors():
     with pytest.raises(CarrierConstructionError):
         make_perturbed_plane(0.5, 0.5)

@@ -107,14 +107,19 @@ def test_prefactor_level_follows_epsilon(tmp_path, capsys, carrier, params,
     assert all(r[3] == k and r[7] == "true" for r in limit_rows)
 
 
+# The rows of a perturbed symmetric run: its delta is odd, so its limit
+# inverse is the isometry 2x - u, an oracle.
+PERTURBED_SYMMETRIC = ["6.5", "6.6", "6.8", "6.8-iso", "6.8-oracle", "L1",
+                       "L2", "L2-underline", "L3", "L4"]
+
+
 def test_symmetric_row_sets(capsys):
     rc, out, _ = run(capsys, ["run", "--carrier", "perturbed",
                               "--experiment", "symmetric"])
     assert rc == 0
     lines = out.strip().split("\n")
     names = [line.split(",")[2] for line in lines[1:]]
-    assert names == ["6.5", "6.6", "6.8", "L1", "L2", "L2-underline",
-                     "L3", "L4"]
+    assert names == PERTURBED_SYMMETRIC
     assert all(line.endswith(",true") for line in lines[1:])
 
     rc, out, _ = run(capsys, ["run", "--carrier", "euclidean",
@@ -313,12 +318,6 @@ def identities(out):
     return [line.split(",")[2] for line in out.strip().split("\n")[1:]]
 
 
-# The default perturbed symmetric run takes seconds; its rows are pinned in
-# test_symmetric_row_sets.
-PERTURBED_SYMMETRIC = ["6.5", "6.6", "6.8", "L1", "L2", "L2-underline",
-                       "L3", "L4"]
-
-
 @pytest.mark.parametrize("experiment", ["converge", "reconstruct",
                                         "symmetric", "derivative", "divide"])
 @pytest.mark.parametrize("carrier", ["euclidean", "heisenberg", "perturbed"])
@@ -337,11 +336,7 @@ def test_limit_failures_keep_their_rows(capsys, carrier, experiment):
                    for line in out.strip().split("\n")[1:])
     else:
         assert rc == 1, err
-    if (carrier, experiment) == ("perturbed", "symmetric"):
-        expected = PERTURBED_SYMMETRIC
-    else:
-        expected = identities(run(capsys, argv)[1])
-    assert identities(out) == expected
+    assert identities(out) == identities(run(capsys, argv)[1])
     assert "5.1-limit" not in out
 
 
@@ -372,9 +367,33 @@ def test_axioms_off_the_carrier_fail_every_identity(tmp_path, capsys):
                for line in out.strip().split("\n")[1:])
 
 
+def test_perturbed_inverse_limits_settle_near_eps_plus_eta(tmp_path, capsys):
+    # At eps = 0.3, eta = 0.25 a chain of Newton delta^-1 solves amplifies
+    # rounding by about ((eps+eta)/(eps-eta))^k = 11^k.  The level inverse
+    # takes none, so the Loos rows and 5.1-inv pass; an inverse through
+    # delta^-k(s^-1) fails them at 2.1e-3 and 1.03.  The difference and
+    # sum limits still need delta^-k and fail.
+    cfg = tmp_path / "near.json"
+    cfg.write_text(json.dumps({"epsilon": 0.3, "eta": 0.25}))
+    argv = ["run", "--carrier", "perturbed", "--config", str(cfg),
+            "--experiment"]
+    rc, out, _ = run(capsys, argv + ["symmetric"])
+    assert rc == 0
+    assert identities(out) == PERTURBED_SYMMETRIC
+    assert all(line.endswith(",true") for line in out.strip().split("\n")[1:])
+    rc, out, _ = run(capsys, argv + ["converge"])
+    assert rc == 1
+    rows = {r[2]: r for r in (line.split(",")
+                              for line in out.strip().split("\n")[1:])}
+    assert rows["5.1-inv"][3] == "34" and rows["5.1-inv"][7] == "true"
+    for op in ("dif", "sum"):
+        assert rows[f"5.1-{op}"][7] == "false", rows[f"5.1-{op}"]
+
+
 def test_failed_loos_rows_keep_the_involution_row(capsys):
+    # At max_k 6 every Loos limit fails; the involution row needs none.
     rc, out, _ = run(capsys, ["run", "--carrier", "perturbed",
-                              "--experiment", "symmetric", "--tol", "1e-10",
+                              "--experiment", "symmetric", "--max-k", "6",
                               "--samples", "20"])
     assert rc == 1
     lines = out.strip().split("\n")[1:]

@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emergent_irq import core
 from emergent_irq.carriers import (GradedLieAlgebra, make_carnot,
@@ -19,6 +21,7 @@ from emergent_irq.division import check_involution, right_divide_k
 from emergent_irq.errors import (CarrierConstructionError,
                                  EmergentAlgebraError, InvalidExponentError)
 from emergent_irq.limits import check_distributive
+from test_carriers import _random_step2
 
 
 def test_carrier_needs_star_or_level_star():
@@ -114,6 +117,36 @@ def test_derived_ops_match_their_composed_definitions():
                 worst = float(np.max(irq.metric(op(irq, k, *points),
                                                 op(composed, k, *points))))
                 assert worst <= tol, (irq.name, op.__name__, k, worst)
+
+
+@settings(deadline=None, max_examples=60)
+@given(carnot=st.booleans(), eps=st.floats(0.05, 0.95),
+       ratio=st.floats(1e-3, 0.98), seed=st.integers(0, 2**32 - 1),
+       d1=st.integers(2, 4), d2=st.integers(1, 3), empty_last=st.booleans())
+def test_one_power_inverse_matches_its_composed_definition(
+        carnot, eps, ratio, seed, d1, d2, empty_last):
+    # Where delta commutes with the group inverse, the chart's inverse is
+    # x (s g^-1) with no delta^-k; composing back_k(star_k(x, u), x) from
+    # the iterated star and back must agree.  Composing re-amplifies
+    # rounding by the Lipschitz constant A of delta^-1 per level: eps^-2 on
+    # a step-2 algebra, 1/(eps - eta) on the perturbed plane.  Over 6,000
+    # random draws of this domain at radius 2 and levels -2..3 the worst
+    # distance was 3.6e-15 A^|k| (step 2) and 1.4e-15 A^|k| (perturbed),
+    # so 5e-14 A^|k| leaves a margin above 10.
+    if carnot:
+        irq, lip = make_carnot(_random_step2(seed, d1, d2, empty_last),
+                               eps), eps ** -2
+    else:
+        eta = ratio * min(eps, 1.0 - eps)
+        irq, lip = make_perturbed_plane(eps, eta), 1.0 / (eps - eta)
+    assert irq.group.inverse_equivariant
+    composed = dataclasses.replace(irq, chart=None)
+    pts = irq.sample(seed, 40, 2.0)
+    x, u = pts[:20], pts[20:]
+    for k in (-2, -1, 1, 2, 3):
+        worst = float(np.max(irq.metric(inverse_k(irq, k, x, u),
+                                        inverse_k(composed, k, x, u))))
+        assert worst <= 5e-14 * lip ** abs(k), (k, worst)
 
 
 def test_dihedral_star_k_depends_only_on_parity():

@@ -15,7 +15,7 @@ from emergent_irq.carriers import (GradedLieAlgebra, build_carrier,
                                    make_heisenberg, make_hyperbolic,
                                    make_perturbed_plane, reflect)
 from emergent_irq.carriers.group import _additive_group
-from emergent_irq.core import inverse_k, star_k
+from emergent_irq.core import inverse_k, sample_tuples, star_k
 from emergent_irq.division import (DivisionMethod, _fixed_point,
                                    check_involution,
                                    check_loos_axioms,
@@ -24,7 +24,8 @@ from emergent_irq.division import (DivisionMethod, _fixed_point,
                                    right_divide_k, t_map, underline_inv_k)
 from emergent_irq.errors import (InvalidExponentError, NonConvergenceError,
                                  UnsupportedCarrierError)
-from emergent_irq.limits import LimitConfig, emergent_inverse, emergent_sum
+from emergent_irq.limits import (LimitConfig, emergent_difference,
+                                 emergent_inverse, emergent_sum)
 from test_carriers import _random_step2
 
 
@@ -398,17 +399,22 @@ def test_perturbed_loos_axioms():
     pert = make_perturbed_plane(0.5, 0.1)
     reports = check_loos_axioms(pert, LimitConfig(tol=1e-8), samples=30)
     assert [r.identity for r in reports] == [
-        "L1", "L2", "L3", "L4", "L2-underline", "6.6", "6.8"]
+        "L1", "L2", "L3", "L4", "L2-underline", "6.6", "6.8", "6.8-oracle",
+        "6.8-iso"]
     for r in reports:
         assert r.passed
     l4 = reports[3]
     assert "min ratio" in l4.note
-    # Asking the inner limits for accuracy below the carrier's numerical
-    # floor must surface as non-convergence, not as silent bad rows.  The
-    # trails bottom out near 2e-9 to 3.5e-9 depending on rounding, so ask
-    # for well below that.
+    # delta is odd, so the level inverse takes no delta^-k and its limit
+    # settles below 1e-9 as well.
+    for r in check_loos_axioms(pert, LimitConfig(tol=1e-9), samples=30):
+        assert r.passed, (r.identity, r.max_residual)
+    # Asking a limit for accuracy below the carrier's numerical floor must
+    # surface as non-convergence, not as a silent bad value.  The raw
+    # difference trail bottoms out near 3.4e-9, so ask for well below that.
+    x, u, v = sample_tuples(pert, 0, 30, 2.0, 3)
     with pytest.raises(NonConvergenceError, match="bottomed out"):
-        check_loos_axioms(pert, LimitConfig(tol=1e-9), samples=30)
+        emergent_difference(pert, x, u, v, LimitConfig(tol=1e-9))
 
 
 def test_perturbed_loos_axioms_extrapolated():
@@ -418,7 +424,7 @@ def test_perturbed_loos_axioms_extrapolated():
     pert = make_perturbed_plane(0.5, 0.1)
     reports = check_loos_axioms(pert, LimitConfig.within(1e-8, 4.0,
                                                          extrapolate=True))
-    assert len(reports) == 7
+    assert len(reports) == 9
     for r in reports:
         assert r.passed and r.max_residual <= 1e-9, (r.identity,
                                                      r.max_residual)

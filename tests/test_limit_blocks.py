@@ -327,30 +327,30 @@ def test_newton_failure_inside_a_block_matches():
 
 
 def test_failing_limit_stops_requesting_levels_where_it_raises():
-    # The CLI's quarter-tolerance Loos attempt on the perturbed plane:
-    # inv(x, y) bottoms out near 3.04e-9 at level 40, above tol, and
-    # raises at level 58.  A dip while the trail regrows is no new low,
-    # so the loop must not extrapolate from it to levels far past that.
+    # A raw difference limit on the perturbed plane at tol 2.5e-9:
+    # dif(x, u, v) bottoms out near 3.48e-9 at level 40, above tol, and
+    # raises at level 59.  A dip while the trail regrows is no new low, so
+    # the loop must not extrapolate from it to levels far past that.
     pert = make_perturbed_plane()
-    x, y, _ = core.sample_tuples(pert, 0, 100, 2.0, 3)
+    x, u, v = core.sample_tuples(pert, 0, 100, 2.0, 3)
     cfg = LimitConfig(tol=2.5e-9)
     requested = []
 
     def stacked():
         def value_at(ks):
             requested.extend(int(k) for k in ks)
-            return core._at_levels((pert,), partial(core._inverse, pert), ks,
-                                   x, y)
-        return limits.limit(pert, value_at, cfg, "emergent_inverse")
+            return core._at_levels((pert,), partial(core._difference, pert),
+                                   ks, x, u, v)
+        return limits.limit(pert, value_at, cfg, "emergent_difference")
 
-    want = _outcome(lambda: _reference(pert, "emergent_inverse", (x, y, None),
-                                       cfg))
+    want = _outcome(lambda: _reference(pert, "emergent_difference",
+                                       (x, u, v), cfg))
     got = _outcome(stacked)
     assert got == want
     assert got[:2] == ("error", "NonConvergenceError")
-    assert "bottomed out near 3.043e-09 at level 40 and regrew 1000-fold " \
-        "by level 58" in got[2]
-    assert max(requested) <= 58 + cfg.cauchy_window + 1
+    assert "bottomed out near 3.475e-09 at level 40 and regrew 1000-fold " \
+        "by level 59" in got[2]
+    assert max(requested) <= 59 + cfg.cauchy_window + 1
 
 
 def test_shared_input_block_matches_one_level_powers():

@@ -156,10 +156,10 @@ DIGESTS = {
         0, '3eb83a9fb2da1a75509fbfd51b8c18270f3f6679dd28b2d43cd1c419e869431c',
         '6.5 6.6 6.8 6.8-iso 6.8-oracle L1 L2 L2-underline L3 L4'),
     'nonlinear-deep: perturbed axioms': (
-        0, 'd5d64f32724b89476b31cb231460929bbd7c1c4322a9c506bdead55446944fc5',
+        0, '0618e23a9b72ddb4a0b97d0d84c617c471dc3035464737b130e8e001364c56a2',
         '3.4a 3.4b 3.4c 3.4d 3.4e 3.4f 3.4g 3.5h 3.5i 3.5j 3.5k P1 P2'),
     'nonlinear-deep: perturbed converge': (
-        0, '714ec81496a73f922fce0afabcfe12a6635601b0e4874929f4f38e4c45ef2376',
+        0, '55a3451bfcd3f8aedda1805e352b6b37321e4e66e12f1214c804f7c0b3e216ba',
         '5.1-dif@40 5.1-inv@40 5.1-sum@41'),
     'nonlinear-deep: perturbed derivative': (
         0, '835bf9cc064dc0afe7a3eb621bc5529f6ee127da8f62e1c0de5f0014e91eb04e',
@@ -172,8 +172,8 @@ DIGESTS = {
         1, '098facaa857481214f5fe2f98845cf12bc6a483b7e45c21b233d9dc2df0993d3',
         '!6.1'),
     'nonlinear-deep: perturbed symmetric': (
-        0, '5be0cf34df7ed2a3bbea6ee3f46841511a017e437dd54abef556925d6c9fcfec',
-        '6.5 6.6 6.8 L1 L2 L2-underline L3 L4'),
+        0, 'bc7479152b3486913003b0ceac10a649bb2638216ecf3f220a3dd9a591abaeba',
+        '6.5 6.6 6.8 6.8-iso 6.8-oracle L1 L2 L2-underline L3 L4'),
 }
 
 
